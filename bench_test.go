@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/edgenet"
 	"repro/internal/experiments"
 	"repro/internal/fed"
 	"repro/internal/modular"
@@ -244,6 +245,24 @@ func BenchmarkConvStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		conv.Forward(x, true)
 		conv.Backward(g)
+	}
+}
+
+// BenchmarkWireEncodeTopK is nebula-bench's wire_encode_topk_8500 row: one
+// mlp-dynamic-sized uplink encode (8,500-coordinate delta, top-k 0.25).
+func BenchmarkWireEncodeTopK(b *testing.B) {
+	rng := tensor.NewRNG(11)
+	base := make([]float32, 8500)
+	vec := make([]float32, len(base))
+	for i := range base {
+		base[i] = float32(rng.NormFloat64())
+		vec[i] = base[i] + float32(rng.NormFloat64()*0.01)
+	}
+	opts := edgenet.WireOpts{TopK: 0.25}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edgenet.EncodeVec(vec, base, opts)
 	}
 }
 

@@ -3,7 +3,8 @@
 // is held to from PR 3 onward. Each entry records ns/op, B/op and allocs/op;
 // packed-GEMM entries additionally record the speedup over the retained
 // naive reference (tensor.GemmNaive) measured in the same run, on the same
-// machine.
+// machine. One row above the kernels, wire_encode_topk_8500, times the
+// edgenet uplink codec.
 //
 // Usage:
 //
@@ -21,6 +22,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/edgenet"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -197,6 +199,27 @@ func convStep(b *testing.B) {
 	}
 }
 
+// wireEncodeTopK benchmarks one uplink encode at the size of a typical
+// mlp-dynamic push: an 8,500-coordinate delta payload, int8 codes, top-k
+// sparsified to a quarter of the coordinates.
+func wireEncodeTopK(b *testing.B) {
+	rng := tensor.NewRNG(11)
+	base := make([]float32, 8500)
+	vec := make([]float32, len(base))
+	for i := range base {
+		base[i] = float32(rng.NormFloat64())
+		vec[i] = base[i] + float32(rng.NormFloat64()*0.01)
+	}
+	opts := edgenet.WireOpts{TopK: 0.25}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wireSink = edgenet.EncodeVec(vec, base, opts)
+	}
+}
+
+var wireSink *edgenet.WirePayload
+
 // runBest reports the fastest of three runs of fn. Every row — and in
 // particular both sides of every speedup ratio — is a min-of-reps
 // estimate: on a shared machine a single sequential measurement folds
@@ -266,6 +289,7 @@ func main() {
 	results = append(results,
 		runBest("dense_step_64x256x128", denseStep),
 		runBest("conv_step_b16_c16x32_12x12", convStep),
+		runBest("wire_encode_topk_8500", wireEncodeTopK),
 	)
 
 	rep := Report{

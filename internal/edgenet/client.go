@@ -362,16 +362,19 @@ func (c *EdgeClient) exchange(req *Request, out []WireChunk, to time.Duration) (
 		if resp.Payload.Chunks < 0 || resp.Payload.Chunks > maxWireChunks {
 			return nil, nil, fmt.Errorf("edgenet: response announces %d chunks", resp.Payload.Chunks)
 		}
-		pay = &WirePayload{Header: *resp.Payload, Chunks: make([]WireChunk, resp.Payload.Chunks)}
-		for i := range pay.Chunks {
+		n := resp.Payload.Chunks
+		pay = &WirePayload{Header: *resp.Payload, Chunks: make([]WireChunk, 0, min(n, chunkPrealloc))}
+		for i := range n {
 			arm(true)
 			chs := c.reqSpan(req, "rpc.chunk_recv")
-			err := c.codec.Recv(&pay.Chunks[i])
+			var ch WireChunk
+			err := c.codec.Recv(&ch)
 			chs.SetErr(err)
 			chs.End()
 			if err != nil {
-				return nil, nil, fmt.Errorf("edgenet: recv chunk %d/%d: %w", i+1, len(pay.Chunks), err)
+				return nil, nil, fmt.Errorf("edgenet: recv chunk %d/%d: %w", i+1, n, err)
 			}
+			pay.Chunks = append(pay.Chunks, ch)
 		}
 	}
 	if !resp.OK {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -343,5 +345,61 @@ func TestV2ChunkStreamOverFaultyLink(t *testing.T) {
 	}
 	if st.WireFull+st.WireDelta == 0 {
 		t.Fatal("no v2 payloads recorded over the faulty link")
+	}
+}
+
+// allocDuring reports the bytes fn allocated, process-wide.
+func allocDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A header may announce up to maxWireChunks frames. Sizing the frame slice
+// from it let one hostile envelope make the receiver allocate ~75 MB before
+// any frame arrived; the slice must grow with the frames instead.
+func TestServerRecvChunksBoundsPrealloc(t *testing.T) {
+	a, b := net.Pipe()
+	_ = b.Close() // the announced frames never come
+	codec := NewCodec(a)
+	var err error
+	grew := allocDuring(func() {
+		_, err = (&Server{}).recvChunks(codec, nil, &WireHeader{Chunks: maxWireChunks})
+	})
+	if err == nil {
+		t.Fatal("recvChunks over a closed connection returned no error")
+	}
+	if grew >= 1<<20 {
+		t.Fatalf("recvChunks allocated %d bytes for an unfulfilled header", grew)
+	}
+}
+
+func TestClientRecvChunksBoundsPrealloc(t *testing.T) {
+	a, b := net.Pipe()
+	peerDone := make(chan struct{})
+	defer func() { <-peerDone }()
+	go func() {
+		defer close(peerDone)
+		// A peer that answers with a maximal announcement, then hangs up.
+		codec := NewCodec(a)
+		var req Request
+		if codec.Recv(&req) == nil {
+			_ = codec.Send(&Response{OK: true, Payload: &WireHeader{Chunks: maxWireChunks}}) // the client's error is what the test checks
+		}
+		_ = a.Close() // net.Pipe close cannot fail
+	}()
+	cl := &EdgeClient{DeviceID: 1}
+	cl.attach(b)
+	var err error
+	grew := allocDuring(func() {
+		_, _, err = cl.exchange(&Request{Kind: KindGetSubModel, DeviceID: 1, Proto: ProtoV2}, nil, 0)
+	})
+	if err == nil {
+		t.Fatal("exchange over a closed connection returned no error")
+	}
+	if grew >= 1<<20 {
+		t.Fatalf("exchange allocated %d bytes for an unfulfilled header", grew)
 	}
 }

@@ -311,6 +311,11 @@ func (s *Server) ServeConn(rw interface {
 // corrupt or hostile header must not pin the handler in a frame loop.
 const maxWireChunks = 1 << 20
 
+// chunkPrealloc caps the frame slice a receiver allocates from a peer's
+// header; the slice grows as frames actually arrive. Sized for the common
+// payload (a few dozen 1024-element chunks), so it rarely regrows.
+const chunkPrealloc = 64
+
 // recvChunks drains the chunk frames a v2 envelope announced, re-arming the
 // read deadline before each frame so one stalled chunk — not the whole
 // payload — is what the timeout bounds.
@@ -321,14 +326,16 @@ func (s *Server) recvChunks(codec *Codec, dl connDeadliner, h *WireHeader) (*Wir
 	if h.Chunks < 0 || h.Chunks > maxWireChunks {
 		return nil, fmt.Errorf("edgenet: payload announces %d chunks", h.Chunks)
 	}
-	p := &WirePayload{Header: *h, Chunks: make([]WireChunk, h.Chunks)}
-	for i := range p.Chunks {
+	p := &WirePayload{Header: *h, Chunks: make([]WireChunk, 0, min(h.Chunks, chunkPrealloc))}
+	for range h.Chunks {
 		if dl != nil && s.ReadTimeout > 0 {
 			_ = dl.SetReadDeadline(time.Now().Add(s.ReadTimeout)) //nolint:rawclock -- socket deadlines are genuinely wall-clock; never enters simulated costs
 		}
-		if err := codec.Recv(&p.Chunks[i]); err != nil {
+		var c WireChunk
+		if err := codec.Recv(&c); err != nil {
 			return nil, err
 		}
+		p.Chunks = append(p.Chunks, c)
 	}
 	return p, nil
 }

@@ -18,13 +18,16 @@ package edgenet
 //      difference crosses the wire. Cache miss or version mismatch falls
 //      back to a full payload — never an error.
 //   3. Deterministic top-k sparsification (pushes): keep the fraction of
-//      delta coordinates with the largest magnitude (ties broken by index),
-//      ship them as per-chunk (offset, code) pairs.
+//      delta coordinates with the largest magnitude (ties broken by index,
+//      −0 equal to +0, NaN above +Inf), ship them as per-chunk (offset,
+//      code) pairs. Selection is a linear-time radix select (topKMask), not
+//      a sort: the uplink encode must stay cheaper than the local training
+//      it ships.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/nn"
 )
@@ -174,6 +177,16 @@ func keepSlice(keep []bool, start, end int) []bool {
 
 // topKMask marks the ⌈frac·n⌉ coordinates with the largest |value|; ties
 // break toward the lower index, so the mask is a pure function of the values.
+//
+// Selection runs in O(n) on the magnitude key math.Float32bits(v) &^ 1<<31:
+// for non-negative floats the bit pattern orders exactly like the value, and
+// clearing the sign maps −0 onto +0, so every NaN-free input gets the mask a
+// stable sort by descending |value| would give. A NaN key is above +Inf's, so
+// NaNs rank above every number (among themselves by bit pattern, then
+// index). A most-significant-digit-first radix select finds the k-th largest
+// key thr; the mask keeps every key > thr plus the lowest-indexed keys == thr
+// that complete k. The histograms are 256 bins, small enough to stay on the
+// stack.
 func topKMask(vals []float32, frac float64) []bool {
 	n := len(vals)
 	k := int(frac*float64(n) + 0.999999)
@@ -183,30 +196,39 @@ func topKMask(vals []float32, frac float64) []bool {
 	if k >= n {
 		return nil // keep everything: dense is strictly cheaper
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		va, vb := abs32(vals[idx[a]]), abs32(vals[idx[b]])
-		if va != vb {
-			return va > vb
+	// need counts how many keys equal to the final prefix still belong to the
+	// k largest; each pass fixes the next byte of the prefix.
+	var prefix, fixed uint32
+	need := k
+	for shift := 24; shift >= 0; shift -= 8 {
+		var hist [256]int
+		for _, v := range vals {
+			if key := magKey(v); key&fixed == prefix {
+				hist[key>>shift&0xff]++
+			}
 		}
-		return idx[a] < idx[b]
-	})
+		b := 255
+		for ; hist[b] < need; b-- {
+			need -= hist[b]
+		}
+		prefix |= uint32(b) << shift
+		fixed |= 0xff << shift
+	}
 	keep := make([]bool, n)
-	for _, i := range idx[:k] {
-		keep[i] = true
+	for i, v := range vals {
+		switch key := magKey(v); {
+		case key > prefix:
+			keep[i] = true
+		case key == prefix && need > 0:
+			keep[i] = true
+			need--
+		}
 	}
 	return keep
 }
 
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
+// magKey is |v|'s sort key: the IEEE-754 bits with the sign cleared.
+func magKey(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
 
 // encodeChunk quantizes one window, dense or sparse.
 func encodeChunk(vals []float32, keep []bool, f16 bool) WireChunk {
@@ -245,8 +267,8 @@ var errWire = errors.New("edgenet: malformed wire payload")
 // DecodeVec reconstructs the vector a payload encodes. For delta payloads
 // base must be the reference the encoder used (same length, bit-identical
 // content); full payloads ignore base. Every malformed condition — length
-// mismatch, chunk count mismatch, out-of-range sparse offset — returns an
-// error, never panics: payloads cross a network.
+// mismatch, chunk count mismatch, negative sizes, out-of-range sparse offset
+// — returns an error, never panics: payloads cross a network.
 func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 	h := p.Header
 	if len(p.Chunks) != h.Chunks {
@@ -254,6 +276,26 @@ func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 	}
 	if h.Delta && len(base) != h.Len {
 		return nil, fmt.Errorf("%w: delta of %d elements against reference of %d", errWire, h.Len, len(base))
+	}
+	// Check the framing before allocating: Len comes off the wire, so only
+	// chunks that carry their codes (dense) or a reference to fall back on
+	// (sparse, hence delta) may claim elements.
+	total := 0
+	for i := range p.Chunks {
+		c := &p.Chunks[i]
+		if c.N < 0 || c.N > h.Len-total {
+			return nil, fmt.Errorf("%w: chunk of %d elements overruns header length %d", errWire, c.N, h.Len)
+		}
+		total += c.N
+		switch {
+		case c.Sparse && !h.Delta:
+			return nil, fmt.Errorf("%w: sparse chunk in a full payload", errWire)
+		case !c.Sparse && c.codes() != c.N:
+			return nil, fmt.Errorf("%w: dense chunk carries %d codes for %d elements", errWire, c.codes(), c.N)
+		}
+	}
+	if total != h.Len {
+		return nil, fmt.Errorf("%w: chunks reconstruct %d of %d elements", errWire, total, h.Len)
 	}
 	out := make([]float32, 0, h.Len)
 	for i := range p.Chunks {
@@ -263,13 +305,7 @@ func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 			return nil, err
 		}
 		start := len(out)
-		if start+c.N > h.Len {
-			return nil, fmt.Errorf("%w: chunks overrun header length %d", errWire, h.Len)
-		}
 		if !c.Sparse {
-			if len(vals) != c.N {
-				return nil, fmt.Errorf("%w: dense chunk carries %d codes for %d elements", errWire, len(vals), c.N)
-			}
 			if h.Delta {
 				for j, v := range vals {
 					out = append(out, base[start+j]+v)
@@ -280,9 +316,6 @@ func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 			continue
 		}
 		// Sparse: unchanged coordinates keep the reference value (delta 0).
-		if !h.Delta {
-			return nil, fmt.Errorf("%w: sparse chunk in a full payload", errWire)
-		}
 		if len(vals) != len(c.Idx) {
 			return nil, fmt.Errorf("%w: sparse chunk carries %d codes for %d offsets", errWire, len(vals), len(c.Idx))
 		}
@@ -295,10 +328,16 @@ func DecodeVec(p *WirePayload, base []float32) ([]float32, error) {
 			win[off] = base[start+int(off)] + vals[j]
 		}
 	}
-	if len(out) != h.Len {
-		return nil, fmt.Errorf("%w: chunks reconstruct %d of %d elements", errWire, len(out), h.Len)
-	}
 	return out, nil
+}
+
+// codes is the number of quantized codes the chunk carries.
+func (c *WireChunk) codes() int {
+	n := len(c.F16)
+	if c.Q8 != nil {
+		n += len(c.Q8.Codes)
+	}
+	return n
 }
 
 // decodeChunk expands one chunk's codes.

@@ -1,8 +1,13 @@
 package edgenet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -157,9 +162,48 @@ func TestEncodeVecTopKSparse(t *testing.T) {
 	}
 }
 
+// topKMaskSort is the sort-based selection topKMask replaced, kept as the
+// oracle the linear-time select must match bit for bit on NaN-free input:
+// stable sort by descending |value|, ties toward the lower index.
+func topKMaskSort(vals []float32, frac float64) []bool {
+	n := len(vals)
+	k := int(frac*float64(n) + 0.999999)
+	if k < 1 {
+		k = 1
+	}
+	if k >= n {
+		return nil
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	abs := func(v float32) float32 {
+		if v < 0 {
+			return -v
+		}
+		return v
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		va, vb := abs(vals[idx[a]]), abs(vals[idx[b]])
+		if va != vb {
+			return va > vb
+		}
+		return idx[a] < idx[b]
+	})
+	keep := make([]bool, n)
+	for _, i := range idx[:k] {
+		keep[i] = true
+	}
+	return keep
+}
+
+// tieBreakVals has every magnitude equal: the kept set must be the lowest
+// indices. It also seeds FuzzTopKMask.
+var tieBreakVals = []float32{1, -1, 1, -1, 1, -1, 1, -1}
+
 func TestTopKMaskDeterministicTieBreak(t *testing.T) {
-	// All-equal magnitudes: the kept set must be the lowest indices, always.
-	vals := []float32{1, -1, 1, -1, 1, -1, 1, -1}
+	vals := tieBreakVals
 	keep := topKMask(vals, 0.5)
 	want := []bool{true, true, true, true, false, false, false, false}
 	if !reflect.DeepEqual(keep, want) {
@@ -347,12 +391,27 @@ func TestDecodeVecRejectsMalformed(t *testing.T) {
 			p.Header.Delta = true
 			return base[:50]
 		}},
+		// Sizes come off the wire: none may reach an allocation or a slice
+		// expression unchecked.
+		{"negative length", func(p *WirePayload) []float32 {
+			p.Header.Len, p.Header.Chunks, p.Chunks = -1, 0, nil
+			return nil
+		}},
+		{"huge length, codes absent", func(p *WirePayload) []float32 {
+			p.Header.Len += 1 << 40
+			p.Chunks[0].N += 1 << 40
+			return nil
+		}},
+		{"negative chunk size", func(p *WirePayload) []float32 {
+			p.Chunks[0].N, p.Chunks[1].N = -32, 64
+			return nil
+		}},
 	}
 	for _, b := range breakers {
 		p := EncodeVec(vec, nil, WireOpts{Chunk: 32})
 		dbase := b.mod(p)
-		if _, err := DecodeVec(p, dbase); err == nil {
-			t.Fatalf("%s: decode accepted malformed payload", b.name)
+		if _, err := DecodeVec(p, dbase); !errors.Is(err, errWire) {
+			t.Fatalf("%s: decode returned %v, want an errWire rejection", b.name, err)
 		}
 	}
 
@@ -366,6 +425,11 @@ func TestDecodeVecRejectsMalformed(t *testing.T) {
 	sp.Header.Delta = false
 	if _, err := DecodeVec(sp, nil); err == nil {
 		t.Fatal("sparse chunk in full payload accepted")
+	}
+	sp = EncodeVec(vec, base, WireOpts{Chunk: 32, TopK: 0.01})
+	sp.Chunks[1].N, sp.Chunks[2].N = -1, sp.Chunks[2].N+1+sp.Chunks[1].N
+	if _, err := DecodeVec(sp, base); err == nil {
+		t.Fatal("negative sparse chunk size accepted")
 	}
 }
 
@@ -428,3 +492,178 @@ func TestSparseChunkWithNoKeptCoords(t *testing.T) {
 		}
 	}
 }
+
+// topKFracs spans the sparsification range: a single coordinate up to all
+// but one.
+var topKFracs = []float64{0.01, 0.25, 0.5, 0.9, 0.9999}
+
+// edgeVec draws n values from a palette built to stress the selection key:
+// heavy ties (few distinct magnitudes, both signs), ±0, zeros, ±Inf,
+// subnormals and the float32 extremes, mixed with ordinary normals.
+func edgeVec(rng *tensor.RNG, n int) []float32 {
+	palette := []float32{
+		0, float32(math.Copysign(0, -1)), 1, -1, 0.5, -0.5,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), -math.Float32frombits(1), // smallest subnormal
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), // largest subnormal
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32,
+	}
+	vec := make([]float32, n)
+	for i := range vec {
+		if rng.Intn(3) == 0 {
+			vec[i] = float32(rng.NormFloat64())
+		} else {
+			vec[i] = palette[rng.Intn(len(palette))]
+		}
+	}
+	return vec
+}
+
+// TestTopKMaskMatchesSortOracle is the differential contract of the radix
+// select: on NaN-free input it returns exactly the sort's mask.
+func TestTopKMaskMatchesSortOracle(t *testing.T) {
+	rng := tensor.NewRNG(28)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(3000)
+		var vec []float32
+		switch trial % 3 {
+		case 0:
+			vec = edgeVec(rng, n)
+		case 1:
+			vec = randVec(rng, n, 1)
+		default:
+			// Mostly zeros, as in a delta where few coordinates moved.
+			vec = make([]float32, n)
+			for i := range vec {
+				if rng.Intn(8) == 0 {
+					vec[i] = float32(rng.NormFloat64())
+				}
+			}
+		}
+		for _, frac := range topKFracs {
+			if got, want := topKMask(vec, frac), topKMaskSort(vec, frac); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d n=%d frac=%v: radix select mask differs from the sort oracle", trial, n, frac)
+			}
+		}
+	}
+}
+
+// NaN has no order under the sort (it compared unequal and unordered to
+// everything, so merge order placed it). The select pins a rule: a NaN key
+// is above +Inf's, so NaNs rank first, in index order.
+func TestTopKMaskNaNRanksAboveInf(t *testing.T) {
+	nan := float32(math.NaN())
+	negNaN := math.Float32frombits(0xffc00000)
+	inf := float32(math.Inf(1))
+	vals := []float32{1, nan, inf, float32(math.Inf(-1)), negNaN, 0}
+	for _, c := range []struct {
+		frac float64
+		want []bool
+	}{
+		{0.3, []bool{false, true, false, false, true, false}}, // k=2: both NaNs
+		{0.5, []bool{false, true, true, false, true, false}},  // k=3: then +Inf (lower index of the ±Inf tie)
+	} {
+		if got := topKMask(vals, c.frac); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("frac %v: mask %v, want %v", c.frac, got, c.want)
+		}
+	}
+}
+
+// floatsFromBytes reads little-endian float32s, dropping NaNs (the sort
+// oracle has no defined answer for them).
+func floatsFromBytes(data []byte) []float32 {
+	vals := make([]float32, 0, len(data)/4)
+	for ; len(data) >= 4; data = data[4:] {
+		if v := math.Float32frombits(binary.LittleEndian.Uint32(data)); v == v {
+			vals = append(vals, v)
+		}
+	}
+	return vals
+}
+
+func bytesFromFloats(vals []float32) []byte {
+	data := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(data[4*i:], math.Float32bits(v))
+	}
+	return data
+}
+
+func FuzzTopKMask(f *testing.F) {
+	f.Add(bytesFromFloats(tieBreakVals), 0.5)
+	rng := tensor.NewRNG(29)
+	for _, frac := range topKFracs {
+		f.Add(bytesFromFloats(edgeVec(rng, 64)), frac)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, frac float64) {
+		if !(frac > 0 && frac < 1) || len(data) > 1<<16 {
+			return
+		}
+		vals := floatsFromBytes(data)
+		if got, want := topKMask(vals, frac), topKMaskSort(vals, frac); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d frac=%v: mask %v, oracle %v", len(vals), frac, got, want)
+		}
+	})
+}
+
+// FuzzDecodeVec feeds DecodeVec gob-decoded payloads, the form a peer's
+// frames arrive in. Whatever the bytes say, decoding must return a vector
+// of the header's length or an error wrapping errWire — never panic.
+func FuzzDecodeVec(f *testing.F) {
+	rng := tensor.NewRNG(30)
+	vec, base := randVec(rng, 300, 1), randVec(rng, 300, 1)
+	for _, c := range []struct {
+		base []float32
+		opts WireOpts
+	}{
+		{nil, WireOpts{}},
+		{nil, WireOpts{F16: true, Chunk: 64}},
+		{base, WireOpts{Chunk: 100}},
+		{base, WireOpts{TopK: 0.25, Chunk: 128}},
+		{base, WireOpts{TopK: 0.01, Chunk: 100}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(EncodeVec(vec, c.base, c.opts)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p WirePayload
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&p) != nil {
+			return
+		}
+		// The receiver's own reference: sized to the header whenever that is
+		// plausible, so delta payloads reach the chunk checks.
+		var ref []float32
+		if p.Header.Delta && p.Header.Len >= 0 && p.Header.Len <= 1<<16 {
+			ref = make([]float32, p.Header.Len)
+		}
+		out, err := DecodeVec(&p, ref)
+		switch {
+		case err != nil && !errors.Is(err, errWire):
+			t.Fatalf("rejection does not wrap errWire: %v", err)
+		case err == nil && len(out) != p.Header.Len:
+			t.Fatalf("decoded %d elements, header says %d", len(out), p.Header.Len)
+		}
+	})
+}
+
+// BenchmarkTopKMask compares the sort oracle and the radix select at the
+// size of a typical mlp-dynamic uplink delta.
+func BenchmarkTopKMask(b *testing.B) {
+	vec := randVec(tensor.NewRNG(31), 8500, 0.01)
+	for _, c := range []struct {
+		name string
+		fn   func([]float32, float64) []bool
+	}{{"sort", topKMaskSort}, {"select", topKMask}} {
+		b.Run(c.name+"_n8500_frac0.25", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchMask = c.fn(vec, 0.25)
+			}
+		})
+	}
+}
+
+var benchMask []bool
