@@ -11,6 +11,15 @@ set -eu
 echo "== go build ./..."
 go build ./...
 
+echo "== gofmt -l (every Go file but the deliberately malformed lint fixtures)"
+unformatted=$(find . -name '*.go' -not -path './internal/lint/testdata/*' \
+    -not -path './.bench_build/*' -not -path './.git/*' -print0 | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted" >&2
+    echo "ci: gofmt would reformat the files above (run gofmt -w on them)" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 

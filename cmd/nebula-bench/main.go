@@ -53,9 +53,8 @@ type Report struct {
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// CPUFeatures and KernelMode record the SIMD provenance of the numbers:
-	// which instruction sets were detected and which micro-kernel the run
-	// used (strict kernels are bitwise-pinned; fast-avx2 never appears here
-	// because nebula-bench measures the artifact-producing configuration).
+	// which instruction sets were detected and which (bitwise-pinned strict)
+	// micro-kernel the run used.
 	CPUFeatures string   `json:"cpu_features"`
 	KernelMode  string   `json:"kernel_mode"`
 	Results     []Result `json:"results"`

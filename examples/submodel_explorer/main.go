@@ -79,7 +79,7 @@ func main() {
 		b := fracBudget(model, frac)
 		active := model.Derive(imp, b, false)
 		sub := model.Extract(active)
-		acc := fed.EvalSubModel(sub, test)
+		acc := fed.EvalLayer(sub, test)
 		fmt.Printf("%5.0f%%  %7d  %-10s  %s\n", frac*100, sub.NumModules(),
 			fmt.Sprintf("%d", nn.ParamCount(sub.Params())), metrics.FmtPct(acc))
 	}

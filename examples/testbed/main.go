@@ -78,9 +78,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			before := fed.EvalSubModel(sub, dev.TestSet(60))
-			fed.TrainSubModel(drng, sub, dev.Train, 3, 0.01, 16)
-			after := fed.EvalSubModel(sub, dev.TestSet(60))
+			before := fed.EvalLayer(sub, dev.TestSet(60))
+			fed.TrainLayer(drng, sub, dev.Train, 3, 0.01, 16)
+			after := fed.EvalLayer(sub, dev.TestSet(60))
 			if err := cl.PushUpdate(sub, imp, float64(dev.Train.Len())); err != nil {
 				log.Fatal(err)
 			}

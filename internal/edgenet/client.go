@@ -95,9 +95,9 @@ type EdgeClient struct {
 	// the caller's trace.
 	traceID     span.TraceID
 	traceParent span.SpanID
-	stats  RetryStats
-	proto  int      // negotiated protocol version; 0 until Hello succeeds (acts as v1)
-	ref    *WireRef // reconstruction of the last v2 sub-model fetch (delta base)
+	stats       RetryStats
+	proto       int      // negotiated protocol version; 0 until Hello succeeds (acts as v1)
+	ref         *WireRef // reconstruction of the last v2 sub-model fetch (delta base)
 
 	// traffic accumulated over connections torn down by reconnects.
 	pastIn, pastOut int64

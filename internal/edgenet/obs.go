@@ -115,9 +115,9 @@ func newClientMetrics(r *obs.Registry) *clientMetricsT {
 	r.Help("nebula_edgenet_client_payload_bytes", "Wire size of one sent request (dir=out) or received response (dir=in), by kind.")
 	r.Help("nebula_edgenet_client_events_total", "Client-side recovery actions, mirroring RetryStats.")
 	m := &clientMetricsT{
-		rpcSeconds: map[MsgKind]*obs.Histogram{},
-		reqBytes:   map[MsgKind]*obs.Histogram{},
-		rspBytes:   map[MsgKind]*obs.Histogram{},
+		rpcSeconds:    map[MsgKind]*obs.Histogram{},
+		reqBytes:      map[MsgKind]*obs.Histogram{},
+		rspBytes:      map[MsgKind]*obs.Histogram{},
 		retries:       r.Counter("nebula_edgenet_client_events_total", "event", "retry"),
 		reconnects:    r.Counter("nebula_edgenet_client_events_total", "event", "reconnect"),
 		timeouts:      r.Counter("nebula_edgenet_client_events_total", "event", "timeout"),

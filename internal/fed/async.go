@@ -1,7 +1,9 @@
 package fed
 
-// Staleness-aware semi-async rounds (docs/ASYNC.md). The coordinator paces
-// rounds by a sim-time deadline instead of waiting for the slowest device:
+// Staleness-aware semi-async state (docs/ASYNC.md): the deadline, sim clock,
+// busy devices, carried stragglers and fleet membership that Nebula.Round
+// consults when cfg.Async is on. The coordinator paces rounds by a sim-time
+// deadline instead of waiting for the slowest device:
 // updates that complete within the deadline aggregate immediately, stragglers
 // carry their work across round boundaries and land later with a
 // staleness-decayed weight, and the fleet may gain or lose devices between
@@ -14,10 +16,7 @@ package fed
 import (
 	"sort"
 
-	"repro/internal/modular"
-	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/tensor"
 )
 
 // asyncPending is one straggler's carried work: launched in round launch,
@@ -42,36 +41,20 @@ type asyncState struct {
 	seeded   bool            // baseline fleet captured (first round is never churn)
 }
 
-// asyncRound runs one deadline-paced round: apply fleet churn, sample idle
-// devices, launch their work, land everything (carried and fresh) whose
-// completion time falls inside the deadline in sim-clock arrival order, and
-// advance the clock by exactly the deadline. The first round (when no
-// explicit RoundDeadline is configured) runs bulk-synchronously to observe
-// the device-time distribution and auto-calibrates the deadline from it.
-func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
-	if s.async == nil {
-		s.async = &asyncState{busy: map[int]float64{}, deadline: s.cfg.RoundDeadline}
-	}
-	a := s.async
-	round := s.costs.Rounds + 1
-	m := s.metrics()
-	s.Trace.RoundStartAt(round, a.deadline)
-	m.currentRound.Set(float64(round))
-	m.roundDeadline.Set(a.deadline)
-	wall := obs.StartTimer()
-	defer func() { m.noteRoundWall(wall.Seconds()) }()
-	// Root span for the deadline-paced round; churn, pend, and land events
-	// record as marker children so a trace shows the async control flow.
-	tid, _ := s.Spans.Trace(int64(round))
-	rs := s.Spans.Start(tid, 0, "fed.round")
-	rs.SetRound(round)
-	defer rs.End()
+// landing is one completed piece of work committed in the round it lands in:
+// the device, its launch round (staleness = landing round − launch), its
+// absolute completion time, and the worker's result.
+type landing struct {
+	c      *Client
+	launch int
+	done   float64
+	res    *nebulaResult
+}
 
-	s.applyChurn(round, clients, tid, rs.ID())
-
-	// Sample only idle devices: a straggler still working on carried rounds
-	// cannot be asked for new work. Eligibility is a pure function of the
-	// seeded clock, so the draw sequence replays exactly.
+// idle returns the devices not still working on carried rounds: a straggler
+// cannot be asked for new work. Eligibility is a pure function of the seeded
+// clock, so the sampling draw sequence replays exactly.
+func (a *asyncState) idle(clients []*Client) []*Client {
 	eligible := make([]*Client, 0, len(clients))
 	for _, c := range clients {
 		if a.busy[c.Dev.ID] > a.clock {
@@ -79,116 +62,25 @@ func (s *Nebula) asyncRound(rng *tensor.RNG, clients []*Client) {
 		}
 		eligible = append(eligible, c)
 	}
-	part := sampleClients(rng, eligible, s.cfg.DevicesPerRound)
+	return eligible
+}
 
-	swPrep := obs.StartTimer()
-	p := s.prepRound(rng, part, round)
-	p.trace, p.root = tid, rs.ID()
-	m.phasePrep.ObserveSince(swPrep)
-
-	swParallel := obs.StartTimer()
-	res := s.runDevices(p, round)
-	m.phaseParallel.ObserveSince(swParallel)
-
-	start := a.clock
-	if a.deadline == 0 {
-		// Calibration round: bulk-sync semantics (everything lands, the slot
-		// is the slowest participant), then derive the deadline from the
-		// observed per-device times.
-		var updates []*modular.Update
-		var slot float64
-		live := 0
-		var times []float64
-		for i := range res {
-			if p.drop[i] {
-				continue
-			}
-			r := &res[i]
-			if r.t > slot {
-				slot = r.t
-			}
-			times = append(times, r.t)
-			if u := s.commitDevice(round, part[i], r, 0); u != nil {
-				updates = append(updates, u)
-			}
-			if r.sub != nil {
-				live++
-			}
-		}
-		m.participants.Set(float64(live))
-		s.aggregate(round, updates, slot)
-		a.clock = start + slot
-		a.deadline = calibrateDeadline(times)
-		return
-	}
-	roundEnd := start + a.deadline
-
-	// Landing set: carried stragglers whose work completes by this round's
-	// deadline, then this round's fresh completions. Fresh work that overruns
-	// the deadline pends instead, and its device stays busy (unsampleable)
-	// until its seeded completion time.
-	type landed struct {
-		c      *Client
-		launch int
-		done   float64
-		res    *nebulaResult
-	}
-	var landings []landed
+// landCarried removes the carried stragglers whose work completes by roundEnd
+// from the pending list, frees their devices, and returns them as landings in
+// (launch round, canonical index) order.
+func (a *asyncState) landCarried(roundEnd float64) []landing {
+	var out []landing
 	kept := a.pending[:0]
 	for _, pw := range a.pending {
 		if pw.done <= roundEnd {
-			landings = append(landings, landed{pw.c, pw.launch, pw.done, &pw.res})
+			out = append(out, landing{pw.c, pw.launch, pw.done, &pw.res})
 			delete(a.busy, pw.c.Dev.ID)
 		} else {
 			kept = append(kept, pw)
 		}
 	}
 	a.pending = kept
-	for i := range res {
-		if p.drop[i] {
-			continue
-		}
-		r := &res[i]
-		done := start + r.t
-		if done <= roundEnd {
-			landings = append(landings, landed{part[i], round, done, r})
-			continue
-		}
-		a.busy[part[i].Dev.ID] = done
-		pw := &asyncPending{c: part[i], launch: round, done: done}
-		pw.res = *r
-		a.pending = append(a.pending, pw)
-		// Marker span: this device's work overran the deadline and pends.
-		pe := s.Spans.Start(tid, rs.ID(), "fed.pend")
-		pe.SetDevice(part[i].Dev.ID)
-		pe.SetRound(round)
-		pe.End()
-	}
-	// Arrival order is the seeded sim clock: stable-sort by completion time,
-	// with the (launch round, canonical index) insertion order breaking ties.
-	sort.SliceStable(landings, func(i, j int) bool { return landings[i].done < landings[j].done })
-
-	var updates []*modular.Update
-	live := 0
-	for _, ld := range landings {
-		if stale := round - ld.launch; stale > 0 {
-			// Marker span: a carried straggler update lands this round.
-			le := s.Spans.Start(tid, rs.ID(), "fed.land")
-			le.SetDevice(ld.c.Dev.ID)
-			le.SetRound(round)
-			le.SetAttempt(stale)
-			le.End()
-		}
-		if u := s.commitDevice(round, ld.c, ld.res, round-ld.launch); u != nil {
-			updates = append(updates, u)
-		}
-		if ld.res.sub != nil {
-			live++
-		}
-	}
-	m.participants.Set(float64(live))
-	s.aggregate(round, updates, a.deadline)
-	a.clock = roundEnd
+	return out
 }
 
 // applyChurn diffs the incoming fleet against last round's membership and
@@ -262,18 +154,9 @@ func (s *Nebula) applyChurn(round int, clients []*Client, tid span.TraceID, pare
 		}
 		var down int64
 		if s.subs[id] == nil {
-			// A brand-new device bootstraps before its first round: probe
-			// importance, derive a budget-fitting sub-model, ship it whole
-			// (selector included).
-			imp := s.importanceWith(s.Model.Selector.Clone(), c)
-			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
-			sub := s.Model.Extract(active)
-			down = sub.ParamBytes()
-			s.subs[id] = sub
-			s.imps[id] = imp
-			s.hasGatePkg[id] = true
-			s.costs.BytesDown += down
-			m.bytesDown.Add(float64(down))
+			// A brand-new device bootstraps before its first round and gets
+			// its sub-model shipped whole (selector included).
+			down = s.adopt(id, s.bootstrap(c))
 		}
 		s.Trace.Churn(round, id, "join", down)
 		m.churnEvents["join"].Inc()

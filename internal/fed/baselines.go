@@ -123,27 +123,17 @@ func (s *LocalAdapt) Adapt(rng *tensor.RNG, clients []*Client) {
 // Devices without a private copy evaluate a clone of the shared cloud model
 // (Forward mutates activation caches, so workers must not share it).
 func (s *LocalAdapt) LocalAccuracy(clients []*Client) float64 {
-	if len(clients) == 0 {
-		return 0
-	}
-	n := len(clients)
-	models := make([]nn.Layer, n)
+	models := make([]nn.Layer, len(clients))
 	for i, c := range clients {
 		models[i] = s.local[c.Dev.ID]
 	}
-	accs := make([]float64, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
+	return meanAccuracy(s.cfg.Workers, len(clients), nil, func(_ any, i int) float64 {
 		m := models[i]
 		if m == nil {
 			m = nn.CloneLayer(s.cloud)
 		}
-		accs[i] = EvalLayer(m, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
+		return EvalLayer(m, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
 	})
-	var sum float64
-	for _, a := range accs {
-		sum += a
-	}
-	return sum / float64(len(clients))
 }
 
 // Costs returns accumulated accounting.
@@ -233,16 +223,11 @@ func (s *AdaptiveNet) Adapt(rng *tensor.RNG, clients []*Client) {
 // Devices without a private copy evaluate a clone of the shared cloud model
 // (Forward mutates activation caches, so workers must not share it).
 func (s *AdaptiveNet) LocalAccuracy(clients []*Client) float64 {
-	if len(clients) == 0 {
-		return 0
-	}
-	n := len(clients)
-	accs := make([]float64, n)
 	type pick struct {
 		m *MultiBranch
 		b int
 	}
-	picks := make([]pick, n)
+	picks := make([]pick, len(clients))
 	for i, c := range clients {
 		m := s.local[c.Dev.ID]
 		b, ok := s.branch[c.Dev.ID]
@@ -252,18 +237,13 @@ func (s *AdaptiveNet) LocalAccuracy(clients []*Client) float64 {
 		}
 		picks[i] = pick{m, b}
 	}
-	forEachDevice(s.cfg.Workers, n, func(i int) {
+	return meanAccuracy(s.cfg.Workers, len(clients), nil, func(_ any, i int) float64 {
 		m := picks[i].m
 		if m == nil {
 			m = s.cloud.Clone()
 		}
-		accs[i] = EvalLayer(branchModel{m, picks[i].b}, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
+		return EvalLayer(branchModel{m, picks[i].b}, clients[i].Dev.TestSet(s.cfg.TestPerDevice))
 	})
-	var sum float64
-	for _, a := range accs {
-		sum += a
-	}
-	return sum / float64(len(clients))
 }
 
 // Costs returns accumulated accounting.

@@ -8,7 +8,6 @@ package fed
 import (
 	"repro/internal/data"
 	"repro/internal/device"
-	"repro/internal/modular"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -176,51 +175,6 @@ func EvalLayer(m nn.Layer, ds *data.Dataset) float64 {
 	return float64(correct) / float64(ds.Len())
 }
 
-// TrainSubModel runs CE training on a Nebula sub-model (selector frozen).
-func TrainSubModel(rng *tensor.RNG, s *modular.SubModel, ds *data.Dataset, epochs int, lr float32, batch int) {
-	if ds.Len() == 0 {
-		return
-	}
-	opt := nn.NewSGD(lr, 0.9, 1e-4)
-	params := s.Params()
-	for e := 0; e < epochs; e++ {
-		ds.Batches(rng, batch, func(x *tensor.Tensor, y []int) {
-			logits := s.Forward(x, true)
-			_, grad := nn.SoftmaxCrossEntropy(logits, y)
-			s.Backward(grad)
-			nn.ClipGradNorm(params, 5)
-			opt.Step(params)
-		})
-	}
-}
-
-// EvalSubModel returns a sub-model's accuracy on a dataset.
-func EvalSubModel(s *modular.SubModel, ds *data.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	const chunk = 128
-	for start := 0; start < ds.Len(); start += chunk {
-		end := start + chunk
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			idx = append(idx, i)
-		}
-		x, y := ds.Batch(idx)
-		logits := s.Forward(x, false)
-		for b := range y {
-			if logits.ArgMaxRow(b) == y[b] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.Len())
-}
-
 // trainTime returns the simulated seconds a client spends on local training:
 // batches × epochs × per-batch latency under the current resource profile.
 func trainTime(p device.Profile, fwdFlopsPerSample int, samples, epochs, batch int) float64 {
@@ -231,26 +185,35 @@ func trainTime(p device.Profile, fwdFlopsPerSample int, samples, epochs, batch i
 	return float64(epochs*batches) * p.TrainBatchLatency(fwdFlopsPerSample, batch)
 }
 
-// meanLocalAccuracyLayer evaluates one shared model on every client's local
-// test distribution. Devices evaluate concurrently; each worker gets its own
-// clone of the model (Forward mutates activation caches), and the accuracy
-// sum is reduced in canonical device order so the float64 result is
-// identical for any worker count.
-func meanLocalAccuracyLayer(m nn.Layer, clients []*Client, testN, workers int) float64 {
-	if len(clients) == 0 {
+// meanAccuracy is the canonical-mean evaluation every strategy's
+// LocalAccuracy runs: eval(state, i) scores device i concurrently (newState
+// is forEachDeviceState's per-worker state, nil for none), and the accuracies
+// are summed in device index order so the float64 mean is identical for any
+// worker count.
+func meanAccuracy(workers, n int, newState func() any, eval func(state any, i int) float64) float64 {
+	if n == 0 {
 		return 0
 	}
-	accs := make([]float64, len(clients))
-	forEachDeviceState(workers, len(clients),
-		func() any { return nn.CloneLayer(m) },
-		func(state any, i int) {
-			accs[i] = EvalLayer(state.(nn.Layer), clients[i].Dev.TestSet(testN))
-		})
+	accs := make([]float64, n)
+	forEachDeviceState(workers, n, newState, func(state any, i int) {
+		accs[i] = eval(state, i)
+	})
 	var sum float64
 	for _, a := range accs {
 		sum += a
 	}
-	return sum / float64(len(clients))
+	return sum / float64(n)
+}
+
+// meanLocalAccuracyLayer evaluates one shared model on every client's local
+// test distribution. Each worker gets its own clone of the model (Forward
+// mutates activation caches).
+func meanLocalAccuracyLayer(m nn.Layer, clients []*Client, testN, workers int) float64 {
+	return meanAccuracy(workers, len(clients),
+		func() any { return nn.CloneLayer(m) },
+		func(state any, i int) float64 {
+			return EvalLayer(state.(nn.Layer), clients[i].Dev.TestSet(testN))
+		})
 }
 
 // sampleClients picks k distinct clients. The result is always a fresh slice,

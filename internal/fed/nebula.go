@@ -2,6 +2,7 @@ package fed
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/data"
 	"repro/internal/edgenet"
@@ -83,7 +84,6 @@ type Nebula struct {
 	Faults *FaultModel
 
 	subs       map[int]*modular.SubModel
-	imps       map[int][][]float64
 	hasGatePkg map[int]bool // devices that already hold the selector
 	// wireRefs holds the per-device delta-coding reference for the simulated
 	// v2 link (cfg.WireCompress; internal/fed/wire.go): the reconstruction of
@@ -120,7 +120,6 @@ func NewNebula(task *Task, cfg Config) *Nebula {
 		PullBlend:          0.1,
 		RederiveOverlap:    0.55,
 		subs:               map[int]*modular.SubModel{},
-		imps:               map[int][][]float64{},
 		hasGatePkg:         map[int]bool{},
 		wireRefs:           map[int]*edgenet.WireRef{},
 	}
@@ -210,28 +209,14 @@ func (s *Nebula) Adapt(rng *tensor.RNG, clients []*Client) {
 		return
 	}
 	for r := 0; r < s.cfg.Rounds; r++ {
-		if s.cfg.Async {
-			s.asyncRound(rng, clients)
-		} else {
-			s.round(rng, clients)
-		}
+		s.Round(rng, clients)
 	}
-}
-
-// Round runs one online round.
-func (s *Nebula) Round(rng *tensor.RNG, clients []*Client) {
-	if s.cfg.Async {
-		s.asyncRound(rng, clients)
-		return
-	}
-	s.round(rng, clients)
 }
 
 // nebulaResult is one device's round outcome, filled by a worker and folded
 // into strategy state by the coordinator in canonical device order.
 type nebulaResult struct {
 	sub    *modular.SubModel
-	imp    [][]float64
 	update *modular.Update
 	down   int64
 	up     int64
@@ -386,7 +371,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 		if s.LocalTraining {
 			tspan := s.Spans.Start(p.trace, dspan.ID(), "fed.train")
 			tspan.SetDevice(id)
-			TrainSubModel(p.streams[i], sub, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, s.cfg.BatchSize)
+			TrainLayer(p.streams[i], sub, c.Dev.Train, s.cfg.LocalEpochs, s.cfg.LR, s.cfg.BatchSize)
 			tspan.End()
 			upBytes := int64(nn.ParamCount(sub.Params())) * 4 // modules+stem+head; selector is not updated on edge
 			_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
@@ -425,7 +410,7 @@ func (s *Nebula) runDevices(p *roundPrep, round int) []nebulaResult {
 				r.span.Notef("round %d device %d: push lost, round aggregates without it", round, id)
 			}
 		}
-		r.sub, r.imp, r.down, r.t = sub, imp, bytes, t
+		r.sub, r.down, r.t = sub, bytes, t
 	})
 	return res
 }
@@ -455,7 +440,6 @@ func (s *Nebula) commitDevice(landing int, c *Client, r *nebulaResult, stale int
 	m.bytesUp.Add(float64(r.up))
 	m.deviceSimSeconds.Observe(r.t)
 	s.subs[id] = r.sub
-	s.imps[id] = r.imp
 	if r.gate {
 		s.hasGatePkg[id] = true
 	}
@@ -495,6 +479,12 @@ func (s *Nebula) aggregate(round int, updates []*modular.Update, slot float64) {
 		m.updates.Add(float64(len(updates)))
 	}
 	s.Trace.RoundEnd(round, slot)
+	s.closeSlot(slot)
+}
+
+// closeSlot charges one round's slot time to Costs and the round metrics.
+func (s *Nebula) closeSlot(slot float64) {
+	m := s.metrics()
 	s.costs.SimTime += slot
 	s.costs.Rounds++
 	m.simSeconds.Add(slot)
@@ -502,20 +492,49 @@ func (s *Nebula) aggregate(round int, updates []*modular.Update, slot float64) {
 	m.rounds.Inc()
 }
 
-func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
-	part := sampleClients(rng, clients, s.cfg.DevicesPerRound)
+// Round runs one online round of the single Nebula round engine: sample,
+// prep, run every launched device in parallel, land the finished work in
+// sim-clock arrival order, aggregate module-wise. Without cfg.Async every
+// round is a barrier round: the slot is the slowest launched device and every
+// device lands at its end. With cfg.Async (docs/ASYNC.md) the round first
+// applies fleet churn and samples only idle devices; the first round (while
+// no deadline is set) is a barrier round that calibrates the deadline, and
+// every later round closes at that deadline: work that completes by then
+// lands, together with carried stragglers that complete by then, and work
+// that overruns pends into a later round.
+func (s *Nebula) Round(rng *tensor.RNG, clients []*Client) {
+	async := s.cfg.Async
+	if async && s.async == nil {
+		s.async = &asyncState{busy: map[int]float64{}, deadline: s.cfg.RoundDeadline}
+	}
+	a := s.async
+	var start, deadline float64
+	if async {
+		start, deadline = a.clock, a.deadline
+	}
 	round := s.costs.Rounds + 1
-	s.Trace.RoundStart(round)
 	m := s.metrics()
+	s.Trace.RoundStartAt(round, deadline)
 	m.currentRound.Set(float64(round))
+	if async {
+		m.roundDeadline.Set(deadline)
+	}
 	wall := obs.StartTimer()
 	defer func() { m.noteRoundWall(wall.Seconds()) }()
 	// Root span for the round; the sampling decision is keyed on the round
-	// number, so every worker count and replay traces the same rounds.
+	// number, so every worker count and replay traces the same rounds. Churn,
+	// pend and land events record as marker children.
 	tid, _ := s.Spans.Trace(int64(round))
 	rs := s.Spans.Start(tid, 0, "fed.round")
 	rs.SetRound(round)
 	defer rs.End()
+
+	eligible := clients
+	if async {
+		s.applyChurn(round, clients, tid, rs.ID())
+		eligible = a.idle(clients)
+	}
+	part := sampleClients(rng, eligible, s.cfg.DevicesPerRound)
 
 	swPrep := obs.StartTimer()
 	p := s.prepRound(rng, part, round)
@@ -526,30 +545,109 @@ func (s *Nebula) round(rng *tensor.RNG, clients []*Client) {
 	res := s.runDevices(p, round)
 	m.phaseParallel.ObserveSince(swParallel)
 
-	// Canonical reduce: fold results in device order — identical to what the
-	// serial loop produced. Metric updates here are part of the serial
-	// phase, so counter values (and float accumulation order) are a pure
-	// function of the seeds — exactly what trace.Summarize recomputes.
-	var updates []*modular.Update
-	var slot float64
-	live := 0
+	// A barrier round's slot is its slowest launched device; a deadline
+	// round's slot is the deadline.
+	barrier := deadline == 0
+	slot := deadline
+	var times []float64
+	if barrier {
+		for i := range res {
+			if p.drop[i] {
+				continue
+			}
+			times = append(times, res[i].t)
+			if res[i].t > slot {
+				slot = res[i].t
+			}
+		}
+	}
+	roundEnd := start + slot
+
+	// Landing set: carried stragglers whose work completes by the round's
+	// end, then this round's fresh completions. Fresh work that overruns the
+	// deadline pends instead, and its device stays busy (unsampleable) until
+	// its seeded completion time.
+	var landings []landing
+	if async {
+		landings = a.landCarried(roundEnd)
+	}
 	for i := range res {
 		if p.drop[i] {
 			continue
 		}
-		r := &res[i]
-		if r.t > slot {
-			slot = r.t
+		done := roundEnd // a barrier round waits for everyone
+		if !barrier {
+			done = start + res[i].t
 		}
-		if u := s.commitDevice(round, part[i], r, 0); u != nil {
+		if done <= roundEnd {
+			landings = append(landings, landing{part[i], round, done, &res[i]})
+			continue
+		}
+		a.busy[part[i].Dev.ID] = done
+		a.pending = append(a.pending, &asyncPending{c: part[i], launch: round, done: done, res: res[i]})
+		// Marker span: this device's work overran the deadline and pends.
+		pe := s.Spans.Start(tid, rs.ID(), "fed.pend")
+		pe.SetDevice(part[i].Dev.ID)
+		pe.SetRound(round)
+		pe.End()
+	}
+	// Arrival order is the seeded sim clock: stable-sort by completion time,
+	// with the (launch round, canonical index) insertion order breaking ties.
+	// Every device of a barrier round lands at the same time, so the fold
+	// keeps canonical device order.
+	sort.SliceStable(landings, func(i, j int) bool { return landings[i].done < landings[j].done })
+
+	// Canonical reduce: commit in arrival order on the coordinator. Metric
+	// updates here are part of the serial phase, so counter values (and float
+	// accumulation order) are a pure function of the seeds — exactly what
+	// trace.Summarize recomputes.
+	var updates []*modular.Update
+	live := 0
+	for _, ld := range landings {
+		stale := round - ld.launch
+		if stale > 0 {
+			// Marker span: a carried straggler update lands this round.
+			le := s.Spans.Start(tid, rs.ID(), "fed.land")
+			le.SetDevice(ld.c.Dev.ID)
+			le.SetRound(round)
+			le.SetAttempt(stale)
+			le.End()
+		}
+		if u := s.commitDevice(round, ld.c, ld.res, stale); u != nil {
 			updates = append(updates, u)
 		}
-		if r.sub != nil {
+		if ld.res.sub != nil {
 			live++
 		}
 	}
 	m.participants.Set(float64(live))
 	s.aggregate(round, updates, slot)
+	if async {
+		a.clock = roundEnd
+		if barrier {
+			a.deadline = calibrateDeadline(times)
+		}
+	}
+}
+
+// bootstrap derives a fresh sub-model for a device that holds none: probe
+// module importance on its local data, solve Eq. 2 under its budget, extract.
+// Worker-safe: it reads only the cloud model and uses a private selector copy.
+func (s *Nebula) bootstrap(c *Client) *modular.SubModel {
+	imp := s.importanceWith(s.Model.Selector.Clone(), c)
+	return s.Model.Extract(s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive))
+}
+
+// adopt stores a bootstrapped sub-model as device id's own and charges its
+// whole download — backbone and selector, a pure download — to Costs and the
+// bytes-down counter. Coordinator-only. Returns the bytes charged.
+func (s *Nebula) adopt(id int, sub *modular.SubModel) int64 {
+	down := sub.ParamBytes()
+	s.subs[id] = sub
+	s.hasGatePkg[id] = true
+	s.costs.BytesDown += down
+	s.metrics().bytesDown.Add(float64(down))
+	return down
 }
 
 // adaptLocalOnly implements the w/o-cloud ablation: derive once, then only
@@ -562,51 +660,31 @@ func (s *Nebula) adaptLocalOnly(rng *tensor.RNG, clients []*Client) {
 		held[i] = s.subs[c.Dev.ID]
 	}
 	streams := splitStreams(rng, n)
-	type result struct {
-		sub  *modular.SubModel
-		down int64
-		t    float64
-	}
-	res := make([]result, n)
+	subs := make([]*modular.SubModel, n)
+	times := make([]float64, n)
 	forEachDevice(s.cfg.Workers, n, func(i int) {
 		c := clients[i]
 		sub := held[i]
 		if sub == nil {
-			imp := s.importanceWith(s.Model.Selector.Clone(), c)
-			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
-			sub = s.Model.Extract(active)
-			res[i].down = sub.ParamBytes()
+			sub = s.bootstrap(c)
 		}
-		TrainSubModel(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize)
-		p := c.Mon.Profile()
-		fwd := 0
-		if m := s.Model; m != nil {
-			_, f, _ := m.SelectionCost(sub.Mapping)
-			fwd = f
-		}
-		res[i].sub = sub
-		res[i].t = trainTime(p, fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs, s.cfg.BatchSize)
+		TrainLayer(streams[i], sub, c.Dev.Train, s.cfg.FinetuneEpochs, s.cfg.LR, s.cfg.BatchSize)
+		_, fwd, _ := s.Model.SelectionCost(sub.Mapping)
+		subs[i] = sub
+		times[i] = trainTime(c.Mon.Profile(), fwd, c.Dev.Train.Len(), s.cfg.FinetuneEpochs, s.cfg.BatchSize)
 	})
 	var slot float64
 	m := s.metrics()
 	for i, c := range clients {
-		r := &res[i]
 		if held[i] == nil {
-			s.costs.BytesDown += r.down
-			m.bytesDown.Add(float64(r.down))
-			s.hasGatePkg[c.Dev.ID] = true
+			s.adopt(c.Dev.ID, subs[i])
 		}
-		s.subs[c.Dev.ID] = r.sub
-		if r.t > slot {
-			slot = r.t
+		if times[i] > slot {
+			slot = times[i]
 		}
-		m.deviceSimSeconds.Observe(r.t)
+		m.deviceSimSeconds.Observe(times[i])
 	}
-	s.costs.SimTime += slot
-	s.costs.Rounds++
-	m.simSeconds.Add(slot)
-	m.roundSlotSeconds.Observe(slot)
-	m.rounds.Inc()
+	s.closeSlot(slot)
 }
 
 // overlapRatio computes the Jaccard overlap between a held sub-model's
@@ -658,9 +736,9 @@ func blendSubModels(local, cloud *modular.SubModel, b float32) {
 }
 
 // LocalAccuracy evaluates each device's current sub-model; devices that
-// never participated derive one on the spot (a pure download, charged).
-// Evaluation fans out across devices; derived-on-the-spot sub-models and
-// their cost charges are committed in canonical device order.
+// never participated bootstrap one on the spot (a pure download, charged).
+// Evaluation fans out across devices; bootstrapped sub-models and their
+// charges are adopted in canonical device order.
 func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 	if len(clients) == 0 {
 		return 0
@@ -670,38 +748,22 @@ func (s *Nebula) LocalAccuracy(clients []*Client) float64 {
 	for i, c := range clients {
 		held[i] = s.subs[c.Dev.ID]
 	}
-	type result struct {
-		sub  *modular.SubModel
-		down int64
-		acc  float64
-	}
-	res := make([]result, n)
-	forEachDevice(s.cfg.Workers, n, func(i int) {
+	fresh := make([]*modular.SubModel, n)
+	acc := meanAccuracy(s.cfg.Workers, n, nil, func(_ any, i int) float64 {
 		c := clients[i]
 		sub := held[i]
 		if sub == nil {
-			imp := s.importanceWith(s.Model.Selector.Clone(), c)
-			active := s.Model.Derive(imp, s.deviceBudget(c), s.ExactDerive)
-			sub = s.Model.Extract(active)
-			res[i].down = sub.ParamBytes()
+			sub = s.bootstrap(c)
+			fresh[i] = sub
 		}
-		res[i].sub = sub
-		res[i].acc = EvalSubModel(sub, c.Dev.TestSet(s.cfg.TestPerDevice))
+		return EvalLayer(sub, c.Dev.TestSet(s.cfg.TestPerDevice))
 	})
-	var sum float64
-	m := s.metrics()
 	for i, c := range clients {
-		r := &res[i]
-		if held[i] == nil {
-			s.costs.BytesDown += r.down
-			m.bytesDown.Add(float64(r.down))
-			s.hasGatePkg[c.Dev.ID] = true
-			s.subs[c.Dev.ID] = r.sub
+		if fresh[i] != nil {
+			s.adopt(c.Dev.ID, fresh[i])
 		}
-		sum += r.acc
 	}
-	acc := sum / float64(len(clients))
-	m.lastAccuracy.Set(acc)
+	s.metrics().lastAccuracy.Set(acc)
 	return acc
 }
 

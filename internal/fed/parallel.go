@@ -10,7 +10,10 @@ import (
 
 // This file is the round executor: the bounded fan-out every strategy uses to
 // run per-device work (derive / train / evaluate) concurrently without giving
-// up bitwise reproducibility. The contract has three phases:
+// up bitwise reproducibility. Nebula drives it from one round engine,
+// Nebula.Round, whose bulk-sync rounds are the barrier case of the
+// deadline-paced engine (docs/ASYNC.md); every strategy's LocalAccuracy
+// drives it through meanAccuracy. The contract has three phases:
 //
 //  1. Coordinator prep (serial). Every draw from the round's master RNG —
 //     client sampling, dropout rolls, fault pre-draws, and one Split() per

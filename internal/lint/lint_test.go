@@ -39,21 +39,20 @@ func runOn(t *testing.T, pkgs []*Package) map[string][]Diagnostic {
 // none, and a bare //nolint surfaces as the "nolint" pseudo-check.
 func TestFixtures(t *testing.T) {
 	want := map[string][]string{
-		"maporder.go":   {"maporder"},
-		"goleak.go":     {"goleak"},
-		"errdrop.go":    {"errdrop"},
-		"mutexcopy.go":  {"mutexcopy"},
-		"seedrand.go":   {"seedrand"},
+		"maporder.go":      {"maporder"},
+		"goleak.go":        {"goleak"},
+		"errdrop.go":       {"errdrop"},
+		"mutexcopy.go":     {"mutexcopy"},
+		"seedrand.go":      {"seedrand"},
 		"hotalloc.go":      {"hotalloc"},
 		"rngescape.go":     {"rngescape"},
 		"lockedcall.go":    {"lockedcall"},
 		"artifactorder.go": {"artifactorder"},
-		"fastmath.go":      {"fastmath"},
 		"rawclock.go":      {"rawclock", "rawclock"},
 		"spanleak.go":      {"spanleak", "spanleak"},
-		"clean.go":      nil,
-		"suppressed.go": nil,
-		"nolintbare.go": {"nolint"},
+		"clean.go":         nil,
+		"suppressed.go":    nil,
+		"nolintbare.go":    {"nolint"},
 	}
 	byFile := runOn(t, loadFixtures(t))
 	for file, checks := range want {

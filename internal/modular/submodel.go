@@ -84,14 +84,15 @@ func (s *SubModel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates through head, modules and stem, accumulating their
-// gradients. The selector receives no gradient on the edge (it is updated
-// only on the cloud), matching the paper's division of labor.
-func (s *SubModel) Backward(dLogits *tensor.Tensor) {
+// gradients, and returns the input gradient, so a SubModel is an nn.Layer.
+// The selector receives no gradient on the edge (it is updated only on the
+// cloud), matching the paper's division of labor.
+func (s *SubModel) Backward(dLogits *tensor.Tensor) *tensor.Tensor {
 	g := s.Head.Backward(dLogits)
 	for l := len(s.Layers) - 1; l >= 0; l-- {
 		g, _ = s.Layers[l].Backward(g)
 	}
-	s.Stem.Backward(g)
+	return s.Stem.Backward(g)
 }
 
 // Params returns the locally trainable parameters: stem, modules, head.

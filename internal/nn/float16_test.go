@@ -16,9 +16,9 @@ func TestF16ExactValues(t *testing.T) {
 		{1, 0x3c00},
 		{-2, 0xc000},
 		{0.5, 0x3800},
-		{65504, 0x7bff},              // largest normal half
-		{6.103515625e-05, 0x0400},    // smallest normal half
-		{5.960464477539063e-08, 1},   // smallest subnormal half
+		{65504, 0x7bff},            // largest normal half
+		{6.103515625e-05, 0x0400},  // smallest normal half
+		{5.960464477539063e-08, 1}, // smallest subnormal half
 		{float32(math.Inf(1)), 0x7c00},
 		{float32(math.Inf(-1)), 0xfc00},
 	}

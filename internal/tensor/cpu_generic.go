@@ -2,6 +2,6 @@
 
 package tensor
 
-// No x86 feature probing off amd64: fast-math mode is amd64-only, so the
-// flags stay false and SetFastMath(true) refuses.
+// No x86 feature probing off amd64: the flags stay false, so CPUFeatures
+// reports "baseline" and the portable kernel runs.
 var cpuHasSSE42, cpuHasAVX, cpuHasAVX2, cpuHasFMA bool

@@ -9,11 +9,11 @@
 // the SAME floating-point semantics: each C element is updated by a separate
 // single-rounded VMULPS followed by a single-rounded VADDPS in ascending-p
 // order, exactly the operation sequence of the SSE kernel and the portable
-// goGemmKernel6x8, just eight lanes at a time instead of four. No FMA — the
-// fused kernel (gemm_avx2_amd64.s) contracts the round between multiply and
-// add and is reachable only in fast-math mode. This kernel is therefore
-// bitwise identical to the SSE kernel and safe for every bitwise gate; it is
-// selected at package init when the CPU supports AVX (cpu_amd64.go).
+// goGemmKernel6x8, just eight lanes at a time instead of four. No FMA — a
+// fused multiply-add would skip the round between multiply and add. This
+// kernel is therefore bitwise identical to the SSE kernel and safe for every
+// bitwise gate; it is selected at package init when the CPU supports AVX
+// (cpu_amd64.go).
 //
 // Register plan: Y10..Y15 hold the 6×8 accumulator (one row each), Y0 holds
 // the current B row, Y1 the broadcast A element and Y2 the product. SI walks

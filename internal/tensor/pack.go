@@ -161,22 +161,6 @@ func goGemmKernel6x8(a, b, c []float32, k, ldc, mode int) {
 	}
 }
 
-// microKernel is the dispatch point runTiles drives: the strict kernel6x8
-// (bitwise-pinned against goGemmKernel6x8) by default, or the AVX2/FMA
-// variant while fast mode is on (fastmath.go). The dispatch is a branch on a
-// plain bool rather than a function variable so both callees stay direct
-// calls — an indirect call would defeat the //go:noescape annotation on the
-// assembly kernels and push runTiles' stack staging tile to the heap.
-// fastKernel is not an atomic: SetFastMath documents that toggling it
-// concurrently with running kernels is not allowed.
-func microKernel(a, b, c []float32, k, ldc, mode int) {
-	if fastKernel {
-		kernelFast6x8(a, b, c, k, ldc, mode)
-		return
-	}
-	kernel6x8(a, b, c, k, ldc, mode)
-}
-
 // gemmDesc carries one packed-GEMM invocation across the worker pool; pooled
 // so the parallel path allocates nothing per call.
 type gemmDesc struct {
@@ -221,7 +205,7 @@ func (d *gemmDesc) runTiles(it0, it1, jt0, jt1 int) {
 			}
 			ap := d.pa[it*mr*d.k:]
 			if rows == mr && cols == nr {
-				microKernel(ap, bp, d.c[i0*d.n+j0:], d.k, d.n, d.mode)
+				kernel6x8(ap, bp, d.c[i0*d.n+j0:], d.k, d.n, d.mode)
 				continue
 			}
 			// Edge tile: stage through the stack tile with ldc=nr, then
@@ -233,12 +217,12 @@ func (d *gemmDesc) runTiles(it0, it1, jt0, jt1 int) {
 				for r := 0; r < rows; r++ {
 					copy(tile[r*nr:r*nr+cols], d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols])
 				}
-				microKernel(ap, bp, tile[:], d.k, nr, 2)
+				kernel6x8(ap, bp, tile[:], d.k, nr, 2)
 				for r := 0; r < rows; r++ {
 					copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
 				}
 			case 1:
-				microKernel(ap, bp, tile[:], d.k, nr, 0)
+				kernel6x8(ap, bp, tile[:], d.k, nr, 0)
 				for r := 0; r < rows; r++ {
 					crow := d.c[(i0+r)*d.n+j0 : (i0+r)*d.n+j0+cols]
 					trow := tile[r*nr : r*nr+cols]
@@ -247,7 +231,7 @@ func (d *gemmDesc) runTiles(it0, it1, jt0, jt1 int) {
 					}
 				}
 			default:
-				microKernel(ap, bp, tile[:], d.k, nr, 0)
+				kernel6x8(ap, bp, tile[:], d.k, nr, 0)
 				for r := 0; r < rows; r++ {
 					copy(d.c[(i0+r)*d.n+j0:(i0+r)*d.n+j0+cols], tile[r*nr:r*nr+cols])
 				}
