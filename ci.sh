@@ -303,24 +303,27 @@ echo "== bench smoke (kernel and codec benches compile and run once)"
 go test -run '^$' -bench 'BenchmarkGemm|BenchmarkDenseStep|BenchmarkConvStep|BenchmarkWireEncodeTopK' -benchtime 1x . >/dev/null
 go test -run '^$' -bench 'BenchmarkTopKMask' -benchtime 1x ./internal/edgenet >/dev/null
 
-echo "== implicit-conv smoke (one shape; steady-state allocs/op must be 0)"
-# The implicit-GEMM path gathers image pixels straight into arena-backed
-# panels; any heap allocation here means a panel escaped the arena, the
-# regression the deleted column-matrix buffer used to mask. 100 iterations
-# amortize the arena's first-use growth to <1 alloc/op.
+echo "== implicit-conv smoke (two shapes; steady-state allocs/op must be 0)"
+# The implicit-GEMM path gathers image pixels (through a padded copy of the
+# image) straight into arena-backed panels; any heap allocation here means a
+# panel or the padded image escaped the arena, the regression the deleted
+# column-matrix buffer used to mask. 100 iterations amortize the arena's
+# first-use growth to <1 alloc/op. c16x11_8x8 is a cnn-sync module shape.
 smoketmp=$(mktemp -d)
-go test -run '^$' -bench 'BenchmarkConvGemmImplicit/c16x32_12x12$' -benchmem \
+go test -run '^$' -bench 'BenchmarkConvGemmImplicit/(c16x32_12x12|c16x11_8x8)$' -benchmem \
     -benchtime 100x ./internal/tensor/ >"$smoketmp/implicit.out"
-grep -q 'BenchmarkConvGemmImplicit' "$smoketmp/implicit.out" || {
-    echo "ci: implicit-conv bench did not run" >&2
-    exit 1
-}
-allocs=$(awk '/BenchmarkConvGemmImplicit/ {print $(NF-1)}' "$smoketmp/implicit.out")
-[ "$allocs" = "0" ] || {
-    cat "$smoketmp/implicit.out" >&2
-    echo "ci: implicit-conv path allocates ($allocs allocs/op); panels must stay in the scratch arena" >&2
-    exit 1
-}
+for shape in c16x32_12x12 c16x11_8x8; do
+    grep -q "BenchmarkConvGemmImplicit/$shape" "$smoketmp/implicit.out" || {
+        echo "ci: implicit-conv bench $shape did not run" >&2
+        exit 1
+    }
+    allocs=$(awk -v s="BenchmarkConvGemmImplicit/$shape" '$1 == s || index($1, s "-") == 1 {print $(NF-1)}' "$smoketmp/implicit.out")
+    [ "$allocs" = "0" ] || {
+        cat "$smoketmp/implicit.out" >&2
+        echo "ci: implicit-conv path allocates on $shape ($allocs allocs/op); panels must stay in the scratch arena" >&2
+        exit 1
+    }
+done
 rm -rf "$smoketmp"
 
 if [ "${1:-}" != "" ]; then

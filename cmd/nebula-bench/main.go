@@ -100,11 +100,13 @@ func denseStep(b *testing.B) {
 	}
 }
 
-// convShape is one geometry of the implicit-vs-im2col pair rows. The two
-// shapes bracket the repo's bench points: c16x32_12x12 is the Conv2D layer
+// convShape is one geometry of the implicit-vs-im2col pair rows. The first
+// two bracket the repo's bench points: c16x32_12x12 is the Conv2D layer
 // behind conv_step_b16_c16x32_12x12, and c64x64_16x16 is the convolution
 // whose column matrix is the gemm_conv_64x256x576 shape (kdim 576, 256
-// output pixels, 64 filters).
+// output pixels, 64 filters). c16x11_8x8 is a module conv of the cnn-sync
+// benchmark workload (8×8 images, an 11-wide shrunk module), where the
+// layout gathers rather than the micro-kernel set the time.
 type convShape struct {
 	name  string
 	g     tensor.ConvGeom
@@ -115,6 +117,7 @@ type convShape struct {
 var convShapes = []convShape{
 	{"b16_c16x32_12x12", tensor.ConvGeom{Channels: 16, Height: 12, Width: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32, 16},
 	{"b16_c64x64_16x16", tensor.ConvGeom{Channels: 64, Height: 16, Width: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 64, 16},
+	{"b16_c16x11_8x8", tensor.ConvGeom{Channels: 16, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 11, 16},
 }
 
 // convOperands builds deterministic operands for one conv shape: a shared

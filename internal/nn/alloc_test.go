@@ -120,3 +120,55 @@ func TestConvRepeatedBackward(t *testing.T) {
 		}
 	}
 }
+
+// TestShrinkingBatchReusesBuffers covers routed module sub-batches, whose
+// size changes on every step: after a batch-5 step, a batch-3 forward and
+// backward must run on the layers' existing output and input-gradient
+// arrays, allocating at most the new tensor headers — no tensor data.
+func TestShrinkingBatchReusesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates; alloc counts are meaningless under -race")
+	}
+	rng := tensor.NewRNG(7)
+	conv := NewConv2D(rng, 4, 6, 3, 1, 1)
+	dense := NewDense(rng, 64, 32) // wide enough for the packed GEMM at batch 3
+	inputs := func(batch int) (cx, cg, dx, dg *tensor.Tensor) {
+		cx, cg = tensor.New(batch, 4, 8, 8), tensor.New(batch, 6, 8, 8)
+		dx, dg = tensor.New(batch, 64), tensor.New(batch, 32)
+		for _, x := range []*tensor.Tensor{cx, cg, dx, dg} {
+			rng.FillNormal(x, 0, 1)
+		}
+		return
+	}
+	step := func(cx, cg, dx, dg *tensor.Tensor) {
+		conv.Forward(cx, true)
+		conv.Backward(cg)
+		dense.Forward(dx, true)
+		dense.Backward(dg)
+	}
+	bx, bg, bdx, bdg := inputs(5)
+	sx, sg, sdx, sdg := inputs(3)
+	step(sx, sg, sdx, sdg) // warm the scratch arena at the small batch too
+	// A GC cycle completing mid-measurement makes the arena's pools rebuild
+	// their per-P structures (see TestConvZeroAllocSteadyState), so retry a
+	// few times and demand one clean measurement; a buffer reallocated per
+	// shape change fails every attempt.
+	var d uint64
+	for attempt := 0; attempt < 5; attempt++ {
+		step(bx, bg, bdx, bdg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step(sx, sg, sdx, sdg)
+		runtime.ReadMemStats(&after)
+		if d = after.TotalAlloc - before.TotalAlloc; d < 1024 {
+			t.Logf("batch-3 step after batch 5: %d B", d)
+			break
+		}
+	}
+	if d >= 1024 {
+		t.Errorf("batch-3 step after batch 5 allocated %d B, want < 1 KiB (headers only)", d)
+	}
+	if got := conv.Forward(sx, true).Shape(); got[0] != 3 {
+		t.Errorf("conv output shape %v after shrinking, want batch 3", got)
+	}
+}

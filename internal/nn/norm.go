@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -44,8 +45,9 @@ func NewBatchNorm(feat int) *BatchNorm {
 	return bn
 }
 
-// featureIndexers returns iteration geometry: the number of groups (batch for
-// rank-2, batch for rank-4), spatial size per feature, and stride layout.
+// geometry returns the iteration shape of x: batch rows, each holding Feat
+// contiguous runs of spatial elements (spatial = 1 for rank-2 input,
+// H·W for rank-4 NCHW input).
 func (bn *BatchNorm) geometry(x *tensor.Tensor) (batch, spatial int) {
 	switch x.Rank() {
 	case 2:
@@ -58,107 +60,124 @@ func (bn *BatchNorm) geometry(x *tensor.Tensor) (batch, spatial int) {
 }
 
 // Forward normalizes with batch statistics (training) or running statistics
-// (inference).
+// (inference). Every loop walks the input in memory order — batch row, then
+// feature, then the feature's contiguous spatial run — so each feature's
+// float64 sums accumulate in ascending element order.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, spatial := bn.geometry(x)
 	n := batch * spatial
+	feat := bn.Feat
+	if x.Dim(1) != feat {
+		panic(fmt.Sprintf("nn: BatchNorm over %d features got input %v", feat, x.Shape()))
+	}
 	bn.shape = x.Shape()
-	y := x.Clone()
-	if bn.invStd == nil || len(bn.invStd) != bn.Feat {
-		bn.invStd = make([]float32, bn.Feat)
+	y := tensor.New(bn.shape...)
+	if len(bn.invStd) != feat {
+		bn.invStd = make([]float32, feat)
 	}
 
-	mean := make([]float64, bn.Feat)
-	variance := make([]float64, bn.Feat)
+	mean := make([]float64, feat)
+	variance := make([]float64, feat)
 	if train {
-		bn.forEach(x, func(f int, v float32) { mean[f] += float64(v) })
+		for b := 0; b < batch; b++ {
+			for f := 0; f < feat; f++ {
+				o := (b*feat + f) * spatial
+				sum := mean[f]
+				for _, v := range x.Data[o : o+spatial] {
+					sum += float64(v)
+				}
+				mean[f] = sum
+			}
+		}
 		for f := range mean {
 			mean[f] /= float64(n)
 		}
-		bn.forEach(x, func(f int, v float32) {
-			d := float64(v) - mean[f]
-			variance[f] += d * d
-		})
+		for b := 0; b < batch; b++ {
+			for f := 0; f < feat; f++ {
+				o := (b*feat + f) * spatial
+				m, sum := mean[f], variance[f]
+				for _, v := range x.Data[o : o+spatial] {
+					d := float64(v) - m
+					sum += d * d
+				}
+				variance[f] = sum
+			}
+		}
 		for f := range variance {
 			variance[f] /= float64(n)
 		}
-		for f := 0; f < bn.Feat; f++ {
+		for f := 0; f < feat; f++ {
 			bn.RunMean.Data[f] = (1-bn.Momentum)*bn.RunMean.Data[f] + bn.Momentum*float32(mean[f])
 			bn.RunVar.Data[f] = (1-bn.Momentum)*bn.RunVar.Data[f] + bn.Momentum*float32(variance[f])
 		}
 	} else {
-		for f := 0; f < bn.Feat; f++ {
+		for f := 0; f < feat; f++ {
 			mean[f] = float64(bn.RunMean.Data[f])
 			variance[f] = float64(bn.RunVar.Data[f])
 		}
 	}
-	for f := 0; f < bn.Feat; f++ {
+	for f := 0; f < feat; f++ {
 		bn.invStd[f] = float32(1 / math.Sqrt(variance[f]+float64(bn.Eps)))
 	}
-	bn.xhat = tensor.New(x.Shape()...)
-	bn.mapEach(x, y, func(f int, v float32, i int) float32 {
-		xh := (v - float32(mean[f])) * bn.invStd[f]
-		bn.xhat.Data[i] = xh
-		return bn.Gamma.W.Data[f]*xh + bn.Beta.W.Data[f]
-	})
+	bn.xhat = tensor.New(bn.shape...)
+	for b := 0; b < batch; b++ {
+		for f := 0; f < feat; f++ {
+			o := (b*feat + f) * spatial
+			m, inv := float32(mean[f]), bn.invStd[f]
+			gamma, beta := bn.Gamma.W.Data[f], bn.Beta.W.Data[f]
+			xs := x.Data[o : o+spatial]
+			xh := bn.xhat.Data[o : o+spatial]
+			ys := y.Data[o : o+spatial]
+			for i, v := range xs {
+				h := (v - m) * inv
+				xh[i] = h
+				ys[i] = gamma*h + beta
+			}
+		}
+	}
 	bn.perFeat = n
 	return y
 }
 
-// Backward implements the standard batchnorm gradient.
+// Backward implements the standard batchnorm gradient, walking grad in the
+// same memory order as Forward.
 func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	batch, spatial := bn.geometry(grad)
+	feat := bn.Feat
 	n := float32(bn.perFeat)
-	dgamma := make([]float64, bn.Feat)
-	dbeta := make([]float64, bn.Feat)
-	bn.forEachIdx(grad, func(f int, g float32, i int) {
-		dgamma[f] += float64(g) * float64(bn.xhat.Data[i])
-		dbeta[f] += float64(g)
-	})
-	for f := 0; f < bn.Feat; f++ {
+	dgamma := make([]float64, feat)
+	dbeta := make([]float64, feat)
+	for b := 0; b < batch; b++ {
+		for f := 0; f < feat; f++ {
+			o := (b*feat + f) * spatial
+			xh := bn.xhat.Data[o : o+spatial]
+			dg, db := dgamma[f], dbeta[f]
+			for i, g := range grad.Data[o : o+spatial] {
+				dg += float64(g) * float64(xh[i])
+				db += float64(g)
+			}
+			dgamma[f], dbeta[f] = dg, db
+		}
+	}
+	for f := 0; f < feat; f++ {
 		bn.Gamma.G.Data[f] += float32(dgamma[f])
 		bn.Beta.G.Data[f] += float32(dbeta[f])
 	}
 	dx := tensor.New(bn.shape...)
-	bn.forEachIdx(grad, func(f int, g float32, i int) {
-		// dx = gamma*invStd/n * (n*g - dbeta - xhat*dgamma)
-		dx.Data[i] = bn.Gamma.W.Data[f] * bn.invStd[f] / n *
-			(n*g - float32(dbeta[f]) - bn.xhat.Data[i]*float32(dgamma[f]))
-	})
+	for b := 0; b < batch; b++ {
+		for f := 0; f < feat; f++ {
+			o := (b*feat + f) * spatial
+			// dx = gamma*invStd/n * (n*g - dbeta - xhat*dgamma)
+			k := bn.Gamma.W.Data[f] * bn.invStd[f] / n
+			db, dg := float32(dbeta[f]), float32(dgamma[f])
+			xh := bn.xhat.Data[o : o+spatial]
+			ds := dx.Data[o : o+spatial]
+			for i, g := range grad.Data[o : o+spatial] {
+				ds[i] = k * (n*g - db - xh[i]*dg)
+			}
+		}
+	}
 	return dx
-}
-
-// forEach visits every element with its feature index.
-func (bn *BatchNorm) forEach(x *tensor.Tensor, fn func(f int, v float32)) {
-	bn.forEachIdx(x, func(f int, v float32, _ int) { fn(f, v) })
-}
-
-func (bn *BatchNorm) forEachIdx(x *tensor.Tensor, fn func(f int, v float32, i int)) {
-	if x.Rank() == 2 {
-		feat := x.Dim(1)
-		for i, v := range x.Data {
-			fn(i%feat, v, i)
-		}
-		return
-	}
-	c, spatial := x.Dim(1), x.Dim(2)*x.Dim(3)
-	for i, v := range x.Data {
-		fn((i/spatial)%c, v, i)
-	}
-}
-
-// mapEach writes fn over every element of src into dst.
-func (bn *BatchNorm) mapEach(src, dst *tensor.Tensor, fn func(f int, v float32, i int) float32) {
-	if src.Rank() == 2 {
-		feat := src.Dim(1)
-		for i, v := range src.Data {
-			dst.Data[i] = fn(i%feat, v, i)
-		}
-		return
-	}
-	c, spatial := src.Dim(1), src.Dim(2)*src.Dim(3)
-	for i, v := range src.Data {
-		dst.Data[i] = fn((i/spatial)%c, v, i)
-	}
 }
 
 // Params returns gamma and beta. Running statistics are state, not

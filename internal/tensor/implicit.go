@@ -9,18 +9,21 @@ import "fmt"
 // (pack.go) never reads its B operand directly either — it reads the packed
 // B panels. So the column matrix exists only to be repacked, and ConvGemm /
 // ConvGemmBack delete it: their pack routines walk the (channel, ky, kx,
-// oy, ox) coordinate space and gather pixels straight from the image into
-// the panel layout, zero-filling padding taps in place.
+// oy, ox) coordinate space and gather pixels into the panel layout from a
+// zero-padded copy of the image (packBConvPadded), in which every tap of
+// every output pixel is in range — so each gather is a branch-free load at
+// a fixed offset, and a padding tap reads one of the copy's zeros.
 //
 // Bitwise contract: the panels packBConv/packBConvT produce are element-for-
 // element identical to packB(im2col(src)) — same layout, same zero padding —
 // and the panels then flow through the same runPacked band grid and the same
-// full-k ascending-p summation chains. The implicit path is therefore
-// bitwise identical to the retained Im2Col + Gemm reference (ConvGemmRef /
-// ConvGemmBackRef below), which stays as the differential-test oracle the
-// way GemmNaive anchors the packed GEMM. The implicit_test.go suite pins
-// this for every stride/pad/kernel shape the experiments use plus fuzzed
-// shapes.
+// full-k ascending-p summation chains. The input-gradient fold
+// (Col2ImPadded) adds into each image element in Col2Im's order. The
+// implicit path is therefore bitwise identical to the retained Im2Col +
+// Gemm + Col2Im reference (ConvGemmRef / ConvGemmBackRef below), which
+// stays as the differential-test oracle the way GemmNaive anchors the
+// packed GEMM. The implicit_test.go suite pins this for every
+// stride/pad/kernel shape the experiments use plus fuzzed shapes.
 //
 // What this buys (docs/PERF.md § Implicit GEMM): the forward column matrix
 // (batch·kdim·cols floats — the largest scratch-arena consumer) is never
@@ -72,96 +75,96 @@ func checkConvOperands(fn string, g ConvGeom, outC int, w, src, out []float32, o
 	}
 }
 
+// PaddedLen returns the element count of the zero-padded image
+// [Channels][Height+2·Pad][Width+2·Pad] the gathers read from, or 0 when
+// Pad == 0 and the image is its own padded form.
+func (g ConvGeom) PaddedLen() int {
+	if g.Pad == 0 {
+		return 0
+	}
+	return g.Channels * (g.Height + 2*g.Pad) * (g.Width + 2*g.Pad)
+}
+
+// packBConvPadded returns the zero-padded form of src, written into pad
+// (PaddedLen elements), or src itself when g.Pad == 0. Every kernel tap of
+// every output pixel lands inside the padded image, so the gathers below
+// index it without clamping or zero-fill branches: a padding tap reads one
+// of the zeros written here.
+func packBConvPadded(src []float32, g ConvGeom, pad []float32) []float32 {
+	if g.Pad == 0 {
+		return src[:g.Channels*g.Height*g.Width]
+	}
+	p, h, w := g.Pad, g.Height, g.Width
+	wp := w + 2*p
+	plane := (h + 2*p) * wp
+	pad = pad[:g.Channels*plane]
+	for c := 0; c < g.Channels; c++ {
+		dp := pad[c*plane : (c+1)*plane]
+		sp := src[c*h*w : (c+1)*h*w]
+		clear(dp[:p*wp+p])
+		for y := 0; y < h; y++ {
+			row := dp[(y+p)*wp+p:]
+			copy(row[:w], sp[y*w:(y+1)*w])
+			clear(row[w : w+2*p])
+		}
+		clear(dp[(h+p)*wp+p:])
+	}
+	return pad
+}
+
 // packBConv packs the virtual column matrix (kdim × cols, never built) into
 // nr-column B panels: element (p, j) of the panel layout — exactly where
 // packB(transB=false) would have put col[p][j] — is the pixel the im2col row
-// p = (channel, ky, kx) and column j = (oy, ox) address, or zero for a
-// padding tap. dst must hold ceil(cols/nr)·nr·kdim elements.
-func packBConv(src []float32, g ConvGeom, dst []float32) {
+// p = (channel, ky, kx) and column j = (oy, ox) address, read from the
+// padded image pad (packBConvPadded), where a padding tap reads a zero.
+// Column j reads pad[q(p) + off(j)] with q = (channel·Hp + ky)·Wp + kx and
+// off = oy·stride·Wp + ox·stride, so a panel computes its nr column offsets
+// once and each panel row is nr fixed-offset loads — one array move when
+// the panel is a stride-1 run inside one output row. The loads are unrolled
+// and stored element by element here and in packBConvT: a rolled loop, a
+// helper call, or a composite literal (which goes through a stack
+// temporary) each cost a third again at the 8×8 training shapes. dst must
+// hold ceil(cols/nr)·nr·kdim elements.
+func packBConv(pad []float32, g ConvGeom, dst []float32) {
 	outW := g.OutW()
 	cols := g.OutH() * outW
 	kdim := g.Kdim()
-	height, width, stride := g.Height, g.Width, g.Stride
-	// A panel's nr output pixels split into runs sharing one output row oy
-	// (at most nr runs; usually one or two). Per run: panel column range,
-	// oy·stride−pad, ox·stride−pad of the first column, and — refreshed per
-	// (c, ky) — the image row offset, or −1 in vertical padding. Working a
-	// whole run at once turns the stride-1 inner gather into a bounds-clamped
-	// contiguous copy instead of a per-element branch.
-	var segStart, segLen, segOy, segOx0, segRow [nr]int
+	wp := g.Width + 2*g.Pad
+	plane := (g.Height + 2*g.Pad) * wp
+	var off [nr]int
 	for j0 := 0; j0 < cols; j0 += nr {
-		w8 := cols - j0
-		if w8 > nr {
-			w8 = nr
+		w8 := min(cols-j0, nr)
+		for cc := range off {
+			// Columns past w8 repeat the last real offset; the edge clear
+			// below overwrites what they gather.
+			j := j0 + min(cc, w8-1)
+			oy := j / outW
+			off[cc] = (oy*wp + j - oy*outW) * g.Stride
 		}
-		nseg := 0
-		for cc := 0; cc < w8; nseg++ {
-			oy := (j0 + cc) / outW
-			ox := j0 + cc - oy*outW
-			l := outW - ox
-			if l > w8-cc {
-				l = w8 - cc
-			}
-			segStart[nseg] = cc
-			segLen[nseg] = l
-			segOy[nseg] = oy*stride - g.Pad
-			segOx0[nseg] = ox*stride - g.Pad
-			cc += l
-		}
+		// Offsets rise strictly across a full panel, so a span of nr−1
+		// means nr adjacent pixels: a stride-1 run inside one output row.
+		run := w8 == nr && off[nr-1]-off[0] == nr-1
 		dstPanel := dst[j0*kdim : j0*kdim+kdim*nr]
 		ri := 0
 		for c := 0; c < g.Channels; c++ {
-			chanBase := c * height * width
 			for ky := 0; ky < g.KH; ky++ {
-				for s := 0; s < nseg; s++ {
-					if sy := segOy[s] + ky; uint(sy) < uint(height) {
-						segRow[s] = chanBase + sy*width
-					} else {
-						segRow[s] = -1
-					}
-				}
+				row := pad[c*plane+ky*wp:]
 				for kx := 0; kx < g.KW; kx++ {
-					dp := dstPanel[ri : ri+nr]
-					for s := 0; s < nseg; s++ {
-						d := dp[segStart[s] : segStart[s]+segLen[s]]
-						ro := segRow[s]
-						if ro < 0 {
-							for i := range d {
-								d[i] = 0
-							}
-							continue
-						}
-						sx := segOx0[s] + kx
-						if stride == 1 {
-							i := 0
-							for ; i < len(d) && sx+i < 0; i++ {
-								d[i] = 0
-							}
-							hi := width - sx
-							if hi > len(d) {
-								hi = len(d)
-							}
-							if hi > i {
-								copy(d[i:hi], src[ro+sx+i:ro+sx+hi])
-								i = hi
-							}
-							for ; i < len(d); i++ {
-								d[i] = 0
-							}
-						} else {
-							for i := range d {
-								if x := sx + i*stride; uint(x) < uint(width) {
-									d[i] = src[ro+x]
-								} else {
-									d[i] = 0
-								}
-							}
-						}
-					}
-					for cc := w8; cc < nr; cc++ {
-						dp[cc] = 0
-					}
+					dp := (*[nr]float32)(dstPanel[ri : ri+nr])
 					ri += nr
+					s := row[kx:]
+					if run {
+						// Through a value: a direct slice-to-array move
+						// cannot rule out overlap and calls memmove.
+						v := *(*[nr]float32)(s[off[0] : off[0]+nr])
+						*dp = v
+						continue
+					}
+					dp[0], dp[1], dp[2], dp[3] = s[off[0]], s[off[1]], s[off[2]], s[off[3]]
+					dp[4], dp[5], dp[6], dp[7] = s[off[4]], s[off[5]], s[off[6]], s[off[7]]
+					if w8 < nr {
+						clear(dp[w8:])
+					}
 				}
 			}
 		}
@@ -172,65 +175,100 @@ func packBConv(src []float32, g ConvGeom, dst []float32) {
 // colᵀ (cols × kdim), the B operand of the backward weight-gradient GEMM —
 // into nr-column panels, identical to packB(col, transB=true). Panels run
 // over the kdim dimension; within a panel column c = im2col row (channel,
-// ky, kx), the k steps walk the output pixels in ascending (oy, ox), which
-// is a strided Im2Col row write. dst must hold ceil(kdim/nr)·nr·cols
-// elements.
-func packBConvT(src []float32, g ConvGeom, dst []float32) {
+// ky, kx), the k steps walk the output pixels in ascending (oy, ox). A
+// panel computes the padded-image offsets of its nr (channel, ky, kx) taps
+// once, and each k step is then one contiguous nr-wide row gathered at
+// fixed offsets from the pixel's window in pad (packBConvPadded). dst must
+// hold ceil(kdim/nr)·nr·cols elements.
+func packBConvT(pad []float32, g ConvGeom, dst []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
 	kdim := g.Kdim()
 	khkw := g.KH * g.KW
+	wp := g.Width + 2*g.Pad
+	plane := (g.Height + 2*g.Pad) * wp
+	var q [nr]int
 	for j0 := 0; j0 < kdim; j0 += nr {
-		base := j0 * cols
-		w8 := kdim - j0
-		if w8 > nr {
-			w8 = nr
-		}
-		for c := 0; c < w8; c++ {
-			kd := j0 + c
+		w8 := min(kdim-j0, nr)
+		for c := range q {
+			// Columns past w8 repeat the last real tap; the edge clear
+			// below overwrites what they gather.
+			kd := j0 + min(c, w8-1)
 			ch := kd / khkw
 			rem := kd - ch*khkw
 			ky := rem / g.KW
-			kx := rem - ky*g.KW
-			chanBase := ch * g.Height * g.Width
-			// Output pixels whose (ky, kx) tap lands inside the image form a
-			// contiguous (oy, ox) rectangle; everything outside is a padding
-			// zero, so the in-range inner loop is branch-free.
-			loY, hiY := convTapRange(outH, g.Height, g.Stride, g.Pad, ky)
-			loX, hiX := convTapRange(outW, g.Width, g.Stride, g.Pad, kx)
-			i := base + c
-			for p := 0; p < loY*outW; p++ {
-				dst[i] = 0
+			q[c] = ch*plane + ky*wp + rem - ky*g.KW
+		}
+		panel := dst[j0*cols : j0*cols+cols*nr]
+		i := 0
+		for oy := 0; oy < outH; oy++ {
+			o := oy * g.Stride * wp
+			for ox := 0; ox < outW; ox++ {
+				s := pad[o:]
+				o += g.Stride
+				dp := (*[nr]float32)(panel[i : i+nr])
 				i += nr
-			}
-			for oy := loY; oy < hiY; oy++ {
-				rowBase := chanBase + (oy*g.Stride-g.Pad+ky)*g.Width
-				for ox := 0; ox < loX; ox++ {
-					dst[i] = 0
-					i += nr
+				dp[0], dp[1], dp[2], dp[3] = s[q[0]], s[q[1]], s[q[2]], s[q[3]]
+				dp[4], dp[5], dp[6], dp[7] = s[q[4]], s[q[5]], s[q[6]], s[q[7]]
+				if w8 < nr {
+					clear(dp[w8:])
 				}
-				sx := loX*g.Stride - g.Pad + kx
-				for ox := loX; ox < hiX; ox++ {
-					dst[i] = src[rowBase+sx]
-					sx += g.Stride
-					i += nr
-				}
-				for ox := hiX; ox < outW; ox++ {
-					dst[i] = 0
-					i += nr
-				}
-			}
-			for p := hiY * outW; p < cols; p++ {
-				dst[i] = 0
-				i += nr
 			}
 		}
-		for c := w8; c < nr; c++ {
-			i := base + c
-			for p := 0; p < cols; p++ {
-				dst[i] = 0
-				i += nr
+	}
+}
+
+// Col2ImPadded is Col2Im over the padded image: it folds a column-matrix
+// gradient (shape [kdim, outH·outW]) into the image gradient dst (shape
+// [channels, height, width], overwritten). The fold accumulates into pad
+// (PaddedLen elements, zeroed here) visiting rows and pixels in exactly
+// Col2Im's order, so every image element receives the same additions in the
+// same order starting from zero; taps that land in the padding are added
+// and thrown away instead of being range-checked out. The interior is then
+// copied to dst. With g.Pad == 0 every tap is in range, so the fold runs on
+// dst directly and pad is unused.
+func Col2ImPadded(cols []float32, g ConvGeom, pad, dst []float32) {
+	h, w, p, stride := g.Height, g.Width, g.Pad, g.Stride
+	dst = dst[:g.Channels*h*w]
+	acc := dst
+	if p > 0 {
+		acc = pad[:g.PaddedLen()]
+	}
+	clear(acc)
+	outH, outW := g.OutH(), g.OutW()
+	nc := outH * outW
+	wp := w + 2*p
+	plane := (h + 2*p) * wp
+	row := 0
+	for c := 0; c < g.Channels; c++ {
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				crow := cols[row*nc : row*nc+nc]
+				base := c*plane + ky*wp + kx
+				for oy := 0; oy < outH; oy++ {
+					d := acc[base+oy*stride*wp:]
+					cr := crow[oy*outW : oy*outW+outW]
+					if stride == 1 {
+						d = d[:len(cr)]
+						for j, v := range cr {
+							d[j] += v
+						}
+					} else {
+						for j, v := range cr {
+							d[j*stride] += v
+						}
+					}
+				}
+				row++
 			}
+		}
+	}
+	if p == 0 {
+		return
+	}
+	for c := 0; c < g.Channels; c++ {
+		for y := 0; y < h; y++ {
+			copy(dst[(c*h+y)*w:(c*h+y+1)*w], acc[c*plane+(y+p)*wp+p:])
 		}
 	}
 }
@@ -281,8 +319,10 @@ func (cw *ConvWeights) Release() {
 }
 
 // Conv computes the forward GEMM out = W · im2col(src) without materializing
-// the column matrix: the B panels are gathered straight from the image by
-// packBConv and swept with the prepacked W panels exactly as a packed
+// the column matrix: the B panels are gathered by packBConv from the
+// zero-padded image (held beside them in the same arena block; with
+// Pad == 0 the image is read in place) and swept with the prepacked W
+// panels exactly as a packed
 // Gemm(false, false, outC, cols, kdim, 1, w, col, 0, out) would. out is fully
 // overwritten (beta = 0); the caller adds bias. Bitwise identical to
 // ConvGemmRef for every geometry, worker count, and nesting depth.
@@ -295,10 +335,12 @@ func (cw *ConvWeights) Conv(src, out []float32) {
 	checkConvOperands("Conv", g, outC, nil, src, out, outC*cols, "output")
 	convImplicitCount.Inc()
 	nTiles := (cols + nr - 1) / nr
-	sb := GetScratch(nTiles * nr * kdim)
-	packBConv(src, g, sb.Data)
-	runPacked(cw.fwd.Data, sb.Data, out, outC, cols, kdim, 0)
-	PutScratch(sb)
+	panelLen := nTiles * nr * kdim
+	s := GetScratch(panelLen + g.PaddedLen())
+	pb := s.Data[:panelLen]
+	packBConv(packBConvPadded(src, g, s.Data[panelLen:]), g, pb)
+	runPacked(cw.fwd.Data, pb, out, outC, cols, kdim, 0)
+	PutScratch(s)
 }
 
 // ConvBack runs the convolution backward for one sample:
@@ -307,14 +349,16 @@ func (cw *ConvWeights) Conv(src, out []float32) {
 //	dx  = col2im(Wᵀ · grad)     (input gradient, overwritten)
 //
 // The weight-gradient GEMM is implicit: its B panels (the transposed column
-// matrix) are gathered from the image by packBConvT, and beta = 1 with a
-// transposed B is kernel mode 1 — the same dot-order summation the reference
+// matrix) are gathered from the padded image by packBConvT, and beta = 1
+// with a transposed B is kernel mode 1 — the same dot-order summation the reference
 // Gemm(false, true, …, 1, dw) used, so dw stays bitwise identical. The
 // input-gradient GEMM reuses the prepacked Wᵀ panels with grad packed as B —
 // panel-for-panel what the reference Gemm(true, false, …) packs — and its
 // column gradient still materializes, in arena scratch scoped to this call
 // (its accumulation order into dx is the bits of dx; fusing the col2im fold
-// into the tile sweep would reorder it — see docs/PERF.md).
+// into the tile sweep would reorder it — see docs/PERF.md). Col2ImPadded
+// folds it in Col2Im's order through the padded-image buffer, which the
+// gather no longer needs by then.
 func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	g, outC := cw.g, cw.outC
 	kdim, cols := g.Kdim(), g.Cols()
@@ -338,7 +382,9 @@ func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	// the packed grad B panels of the dcol product (the two layouts differ,
 	// so the pack runs twice); the B region holds the packBConvT panels and
 	// is then recycled as the column gradient (nTiles·nr ≥ kdim, and
-	// runPacked fully overwrites it with beta = 0 before Col2Im reads it).
+	// runPacked fully overwrites it with beta = 0 before the fold reads it);
+	// a third region holds the padded image for packBConvT and then the
+	// padded fold accumulator.
 	mTiles := (outC + mr - 1) / mr
 	nTiles := (kdim + nr - 1) / nr
 	gTiles := (cols + nr - 1) / nr
@@ -346,21 +392,19 @@ func (cw *ConvWeights) ConvBack(src, grad, dw, dx []float32) {
 	if gLen := gTiles * nr * outC; gLen > aLen {
 		aLen = gLen
 	}
-	s := GetScratch(aLen + nTiles*nr*cols)
+	bLen := nTiles * nr * cols
+	s := GetScratch(aLen + bLen + g.PaddedLen())
 	sa := s.Data[:aLen]
-	sb := s.Data[aLen:]
+	sb := s.Data[aLen : aLen+bLen]
+	pad := s.Data[aLen+bLen:]
 	packA(grad, outC, cols, false, sa)
-	packBConvT(src, g, sb)
+	packBConvT(packBConvPadded(src, g, pad), g, sb)
 	runPacked(sa, sb, dw, outC, kdim, cols, 1)
 
 	packB(grad, outC, cols, false, sa)
 	dcol := sb[:kdim*cols]
 	runPacked(cw.bwd.Data, sa, dcol, kdim, cols, outC, 0)
-	dx = dx[:img]
-	for i := range dx {
-		dx[i] = 0
-	}
-	Col2Im(dcol, g.Channels, g.Height, g.Width, g.KH, g.KW, g.Stride, g.Pad, dx)
+	Col2ImPadded(dcol, g, pad, dx)
 	PutScratch(s)
 }
 

@@ -8,7 +8,9 @@ import (
 // Implicit-vs-im2col benchmark pairs at the shapes nebula-bench reports.
 // conv_step_b16_c16x32_12x12 is one sample of the Fig-9 training conv
 // (16→32 channels, 12×12, 3×3 s1 p1); gemm_conv_64x256x576 is the
-// 64-channel 16×16 trunk conv.
+// 64-channel 16×16 trunk conv; c16x11_8x8 is a cnn-sync module conv (the
+// 16-channel stem output into an 11-wide shrunk module, 8×8, 3×3 s1 p1),
+// where each gathered element feeds only two micro-kernel row tiles.
 
 func convBenchOperands(g ConvGeom, outC int) (w, src, out, grad, dw, dx []float32) {
 	rng := rand.New(rand.NewSource(1))
@@ -31,6 +33,7 @@ var convBenchGeoms = []struct {
 }{
 	{"c16x32_12x12", ConvGeom{Channels: 16, Height: 12, Width: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
 	{"c64x64_16x16", ConvGeom{Channels: 64, Height: 16, Width: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 64},
+	{"c16x11_8x8", ConvGeom{Channels: 16, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 11},
 }
 
 func BenchmarkConvGemmImplicit(b *testing.B) {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -78,6 +79,16 @@ func TestConvGemmExperimentShapes(t *testing.T) {
 		// Bench shape: gemm_conv_64x256x576 is outC=64, kdim=576=64·3·3,
 		// cols=256=16·16.
 		{64, 64, 16, 16, 3, 3, 1, 1},
+		// The modular image10 geometries cnn-sync trains (8×8 images, stem
+		// 16, stages 24 s1 and 32 s2, shrunk odd mid widths): stem, stage-1
+		// module convs, stage-2 downsampling and 4×4 convs, and the 1×1
+		// stride-2 bypass, which gathers the image in place (Pad 0).
+		{3, 16, 8, 8, 3, 3, 1, 1},
+		{16, 11, 8, 8, 3, 3, 1, 1},
+		{11, 24, 8, 8, 3, 3, 1, 1},
+		{24, 7, 8, 8, 3, 3, 2, 1},
+		{7, 32, 4, 4, 3, 3, 1, 1},
+		{24, 32, 8, 8, 1, 1, 2, 0},
 	}
 	for _, c := range cases {
 		convCase(t, rng, c.outC, ConvGeom{
@@ -87,9 +98,9 @@ func TestConvGemmExperimentShapes(t *testing.T) {
 	}
 }
 
-// TestConvGemmFuzzShapes sweeps randomized geometries — rectangular images
-// and kernels, strides 1..3, pads 0..3 (including pad ≥ kernel, all-padding
-// edge columns, and single-pixel outputs) — against the im2col oracle.
+// TestConvGemmFuzzShapes sweeps randomized geometries (fuzzConvGeom —
+// including pad ≥ kernel, all-padding edge columns, and single-pixel
+// outputs) against the im2col oracle.
 func TestConvGemmFuzzShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	iters := 60
@@ -97,22 +108,102 @@ func TestConvGemmFuzzShapes(t *testing.T) {
 		iters = 12
 	}
 	for it := 0; it < iters; it++ {
-		g := ConvGeom{
-			Channels: 1 + rng.Intn(9),
-			Height:   1 + rng.Intn(14),
-			Width:    1 + rng.Intn(14),
-			KH:       1 + rng.Intn(5),
-			KW:       1 + rng.Intn(5),
-			Stride:   1 + rng.Intn(3),
-			Pad:      rng.Intn(4),
-		}
-		if g.Height+2*g.Pad < g.KH || g.Width+2*g.Pad < g.KW {
-			continue // empty output
+		g, ok := fuzzConvGeom(rng)
+		if !ok {
+			continue
 		}
 		outC := 1 + rng.Intn(17)
 		t.Run(fmt.Sprintf("it%d_c%d_%dx%d_k%dx%d_s%d_p%d_oc%d",
 			it, g.Channels, g.Height, g.Width, g.KH, g.KW, g.Stride, g.Pad, outC),
 			func(t *testing.T) { convCase(t, rng, outC, g) })
+	}
+}
+
+// fuzzConvGeom draws one random geometry: rectangular images and kernels,
+// strides 1..3, pads 0..3. ok is false when the output would be empty.
+func fuzzConvGeom(rng *rand.Rand) (g ConvGeom, ok bool) {
+	g = ConvGeom{
+		Channels: 1 + rng.Intn(9),
+		Height:   1 + rng.Intn(14),
+		Width:    1 + rng.Intn(14),
+		KH:       1 + rng.Intn(5),
+		KW:       1 + rng.Intn(5),
+		Stride:   1 + rng.Intn(3),
+		Pad:      rng.Intn(4),
+	}
+	return g, g.Height+2*g.Pad >= g.KH && g.Width+2*g.Pad >= g.KW
+}
+
+// TestConvPackDifferential checks the padded-image gathers element by
+// element against packing the materialized column matrix — packBConv
+// against packB(Im2Col(src)), packBConvT against packB(Im2Col(src)ᵀ) — and
+// the padded fold against Col2Im, independently of the GEMMs that consume
+// them. Destinations start as NaN so an element the gather skips shows up.
+// Geometries: the fuzz generator plus pinned edge cases (pad ≥ kernel,
+// stride 3, single-pixel outputs, 1×1 kernels with and without padding).
+func TestConvPackDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	geoms := []ConvGeom{
+		{Channels: 2, Height: 3, Width: 4, KH: 1, KW: 2, Stride: 1, Pad: 3},
+		{Channels: 3, Height: 7, Width: 5, KH: 3, KW: 3, Stride: 3, Pad: 1},
+		{Channels: 2, Height: 3, Width: 3, KH: 3, KW: 3, Stride: 2, Pad: 0},
+		{Channels: 1, Height: 1, Width: 1, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{Channels: 5, Height: 6, Width: 6, KH: 1, KW: 1, Stride: 1, Pad: 0},
+		{Channels: 4, Height: 5, Width: 7, KH: 1, KW: 1, Stride: 2, Pad: 1},
+		{Channels: 16, Height: 8, Width: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	}
+	iters := 80
+	if testing.Short() {
+		iters = 20
+	}
+	for len(geoms) < iters {
+		if g, ok := fuzzConvGeom(rng); ok {
+			geoms = append(geoms, g)
+		}
+	}
+	nan := float32(math.NaN())
+	poisoned := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = nan
+		}
+		return s
+	}
+	same := func(what string, g ConvGeom, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s %+v: [%d] = %v, want %v", what, g, i, got[i], want[i])
+			}
+		}
+	}
+	for _, g := range geoms {
+		kdim, cols := g.Kdim(), g.Cols()
+		img := g.Channels * g.Height * g.Width
+		src := make([]float32, img)
+		fillRand(rng, src)
+		col := make([]float32, kdim*cols)
+		Im2Col(src, g.Channels, g.Height, g.Width, g.KH, g.KW, g.Stride, g.Pad, col)
+		pad := packBConvPadded(src, g, poisoned(g.PaddedLen()))
+
+		fwdLen := (cols + nr - 1) / nr * nr * kdim
+		want, got := make([]float32, fwdLen), poisoned(fwdLen)
+		packB(col, kdim, cols, false, want)
+		packBConv(pad, g, got)
+		same("packBConv", g, got, want)
+
+		bwdLen := (kdim + nr - 1) / nr * nr * cols
+		want, got = make([]float32, bwdLen), poisoned(bwdLen)
+		packB(col, cols, kdim, true, want)
+		packBConvT(pad, g, got)
+		same("packBConvT", g, got, want)
+
+		dcol := make([]float32, kdim*cols)
+		fillRand(rng, dcol)
+		want, got = make([]float32, img), poisoned(img)
+		Col2Im(dcol, g.Channels, g.Height, g.Width, g.KH, g.KW, g.Stride, g.Pad, want)
+		Col2ImPadded(dcol, g, poisoned(g.PaddedLen()), got)
+		same("Col2ImPadded", g, got, want)
 	}
 }
 
